@@ -1,0 +1,1 @@
+"""End-to-end campaign benchmark (see README.md in this directory)."""
