@@ -14,14 +14,14 @@ Claims checked:
   comparator discipline survives multiplexing);
 * the run is deterministic — same fleet seed, byte-identical trace.
 
-This bench intentionally drives the legacy hand-built-fleet path
-(``MonitorFleet`` + the deprecated ``ExperimentRunner`` shim) so its
-throughput and determinism stay covered; declarative campaigns run
-through ``repro.campaign`` (bench_e16).
+The campaign is a :class:`~repro.scenarios.ScenarioSpec` run serially
+through :func:`repro.campaign.run_cell_detailed`, which keeps the live
+fleet for the one-kernel check; bench_e16 shards the same kind of cell.
 """
 
 
-from repro.runtime import ExperimentRunner, MonitorFleet
+from repro.campaign import run_cell_detailed
+from repro.scenarios import FaultPhase, ScenarioSpec, UserProfile
 
 from conftest import print_table, qscale, run_once
 
@@ -34,17 +34,19 @@ VOLUME_HEAVY_KEYS = [
 ]
 
 
+SPEC = ScenarioSpec(
+    name="e14-fleet",
+    description="E14: fleet fault-injection campaign on one kernel",
+    duration=DURATION,
+    tvs=FLEET_SIZE,
+    profiles=(UserProfile("volume-heavy", keys=tuple(VOLUME_HEAVY_KEYS)),),
+    phases=(FaultPhase("volume_overshoot", at=DURATION / 3, fraction=0.2),),
+)
+
+
 def _campaign():
-    fleet = MonitorFleet(seed=FLEET_SEED)
-    fleet.add_tvs(FLEET_SIZE)
-    runner = ExperimentRunner(
-        fleet,
-        duration=DURATION,
-        fault_fraction=0.2,
-        fault="volume_overshoot",
-        keys=VOLUME_HEAVY_KEYS,
-    )
-    return fleet, runner.run()
+    cell = run_cell_detailed(SPEC, FLEET_SEED)
+    return cell.compiled.fleet, cell.fleet_report
 
 
 def test_e14_fleet_campaign(benchmark):

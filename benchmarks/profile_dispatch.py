@@ -28,29 +28,28 @@ import io
 import os
 import pstats
 import sys
-import warnings
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-FLEET_SEED = 14
+from run_all import FLEET_SEED, fleet_probe_spec  # noqa: E402  (same workload)
+
 TOP = 20
 
 
 def profile_fleet_tick(members: int, duration: float) -> tuple:
-    """Run one fleet campaign under cProfile; returns (report, stats)."""
-    from repro.runtime import ExperimentRunner, MonitorFleet
+    """Run one fleet campaign under cProfile; returns (report, stats).
 
-    fleet = MonitorFleet(seed=FLEET_SEED)
-    fleet.add_tvs(members)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        runner = ExperimentRunner(fleet, duration=duration, fault_fraction=0.2)
+    The scenario is compiled (fleet built) outside the profile, so the
+    dump covers the kernel run alone."""
+    from repro.scenarios import CompiledScenario
+
+    compiled = CompiledScenario(fleet_probe_spec(members, duration), FLEET_SEED)
     profiler = cProfile.Profile()
     profiler.enable()
-    report = runner.run()
+    report = compiled.run()
     profiler.disable()
     return report, pstats.Stats(profiler)
 

@@ -21,7 +21,7 @@ throughput probes measure the runtime itself:
 
 * ``kernel``     — bare dispatch loop, no SUO (events/sec);
 * ``single_suo`` — one TV driven through the E13 workload (events/sec);
-* ``fleet``      — a 100-SUO MonitorFleet campaign (events/sec), plus a
+* ``fleet``      — a 100-SUO fleet scenario (events/sec), plus a
   byte-identical-trace determinism check;
 * ``scenarios``  — a 1000-SUO streaming-telemetry scenario (the E15
   workload), recording its trace and telemetry digests;
@@ -156,27 +156,36 @@ def probe_single_suo() -> float:
     return best
 
 
+#: Campaign seed of the fleet probe (and of profile_dispatch.py).
+FLEET_SEED = 14
+
+
+def fleet_probe_spec(members: int = 100, duration: float = 60.0):
+    """The fleet probe's workload: random users on every TV and a
+    volume-overshoot fault in a fifth of them a third of the way in."""
+    from repro.scenarios import FaultPhase, ScenarioSpec, UserProfile
+
+    return ScenarioSpec(
+        name="probe-fleet",
+        description="run_all probe: fleet campaign",
+        duration=duration,
+        tvs=members,
+        profiles=(UserProfile("probe", mean_gap=4.0),),
+        phases=(FaultPhase("volume_overshoot", at=duration / 3, fraction=0.2),),
+    )
+
+
 def probe_fleet(members: int = 100, duration: float = 60.0) -> dict:
     """100-SUO campaign throughput + determinism witness.
 
-    Intentionally stays on the legacy hand-built-fleet path (the
-    deprecated ``ExperimentRunner`` shim) so its throughput remains
-    tracked; the campaign API is probed by :func:`probe_sharded`.
+    ``events_per_sec`` covers the kernel-run slice of the cell, the span
+    ``PERF_FLOOR`` records.
     """
-    import warnings
+    from repro.campaign import run_cell_detailed
 
-    from repro.runtime import ExperimentRunner, MonitorFleet
-
-    def campaign():
-        fleet = MonitorFleet(seed=14)
-        fleet.add_tvs(members)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runner = ExperimentRunner(fleet, duration=duration, fault_fraction=0.2)
-        return runner.run()
-
-    first = campaign()
-    second = campaign()
+    spec = fleet_probe_spec(members, duration)
+    first = run_cell_detailed(spec, FLEET_SEED).fleet_report
+    second = run_cell_detailed(spec, FLEET_SEED).fleet_report
     return {
         "members": members,
         "sim_duration": duration,
@@ -442,7 +451,7 @@ def probe_resume(quick: bool = False) -> dict:
 
     from repro.campaign import (
         CampaignCheckpoint,
-        DistributedBackend,
+        ExecutorBackend,
         InlineExecutor,
         ShardExhaustedError,
         WorkerFaultInjector,
@@ -470,7 +479,7 @@ def probe_resume(quick: bool = False) -> dict:
         # Phase 1: the interrupted sitting.  Shard 0 lands durably;
         # shard `kill_shard` loses its (only allowed) worker and the
         # campaign dies mid-cell.
-        faulty_backend = DistributedBackend(
+        faulty_backend = ExecutorBackend(
             InlineExecutor(WorkerFaultInjector(kill_shards=(kill_shard,))),
             shards=shards, max_attempts=1,
         )
@@ -488,7 +497,7 @@ def probe_resume(quick: bool = False) -> dict:
                 else 0
             )
         # Phase 2: resume with a healthy backend against the same store.
-        healthy = DistributedBackend(InlineExecutor(), shards=shards)
+        healthy = ExecutorBackend(InlineExecutor(), shards=shards)
         with CampaignCheckpoint(db) as checkpoint:
             resumed = run_cell(
                 spec, seed, backend=healthy,
@@ -686,16 +695,7 @@ def evaluate_report(report: dict, priors: list = None) -> list:
             failures.append(
                 f"{name}: serial vs sharded detection stats diverged"
             )
-    drill = detection.get("recovery-ladder-drill")
-    if drill is not None:
-        if drill.get("recovered", 0) <= 0:
-            failures.append("recovery-ladder-drill: no completed recoveries")
-        waves = drill.get("ttr_waves", {})
-        if not waves:
-            failures.append(
-                "recovery-ladder-drill: no per-wave time-to-recover recorded"
-            )
-        for wave, entry in sorted(waves.items()):
+        for wave, entry in sorted(cell.get("ttr_waves", {}).items()):
             values = [
                 entry.get("min", 0.0), entry.get("max", 0.0),
                 entry.get("mean", 0.0),
@@ -704,9 +704,16 @@ def evaluate_report(report: dict, priors: list = None) -> list:
                 isinstance(v, (int, float)) and math.isfinite(v) for v in values
             ):
                 failures.append(
-                    f"recovery-ladder-drill wave {wave}: "
-                    "time-to-recover not finite"
+                    f"{name} wave {wave}: time-to-recover not finite"
                 )
+    drill = detection.get("recovery-ladder-drill")
+    if drill is not None:
+        if drill.get("recovered", 0) <= 0:
+            failures.append("recovery-ladder-drill: no completed recoveries")
+        if not drill.get("ttr_waves"):
+            failures.append(
+                "recovery-ladder-drill: no per-wave time-to-recover recorded"
+            )
     diagnosis = report.get("diagnosis", {})
     for name in DIAGNOSIS_SCENARIOS:
         if name not in diagnosis:
@@ -820,7 +827,9 @@ def evaluate_report(report: dict, priors: list = None) -> list:
     if round(report.get("kernel_events_per_sec", 0)) < baseline:
         failures.append("kernel throughput regressed below the seed baseline")
     floor = report.get("perf_floor", {})
-    if floor and perf_skip_reason(report) is None:
+    if not floor:
+        failures.append("perf_floor missing from the report")
+    elif perf_skip_reason(report) is None:
         max_regression = floor.get("max_regression", 0.30)
         allowed = 1.0 - max_regression
         for probe, key, metric, unit in (

@@ -7,7 +7,7 @@ TVs + 10 media players) with a seeded volume-fault wave, executed twice
 through :class:`~repro.campaign.Campaign` —
 
 * once on :class:`~repro.campaign.SerialBackend` — one kernel, one
-  fleet, one telemetry hub (PR 1's hand-coded campaign, now one call);
+  fleet, one telemetry hub;
 * once on :class:`~repro.campaign.ProcessShardBackend` — the device mix
   partitioned into 4 per-shard plans, one kernel + fleet per worker
   process, telemetry merged back into one report.
@@ -19,8 +19,7 @@ is invisible in what it does — which is what makes sharding safe to
 reach for when one kernel stops being enough.
 
 (Hand-built fleets remain available underneath: ``repro.runtime.
-MonitorFleet`` is unchanged, and the deprecated ``ExperimentRunner``
-still drives custom mixes the declarative layer cannot express.)
+MonitorFleet`` is the engine every compiled scenario runs on.)
 
 Run:  python examples/fleet_campaign.py
 """

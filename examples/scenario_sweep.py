@@ -1,10 +1,8 @@
 """Scenario × seed sweep through the unified campaign API.
 
-PR 2 swept this grid with ``ScenarioRunner``; PR 3 unified the campaign
-surface, so the same sweep is now one :class:`~repro.campaign.Campaign`
-— and because execution backends are pluggable, the identical plan can
-run serially or sharded across worker processes without changing a line
-of the sweep.  The telemetry digest column is the reproducibility
+The sweep is one :class:`~repro.campaign.Campaign` — and because shard
+executors are pluggable, the identical plan can run serially or sharded
+across worker processes without changing a line of the sweep.  The telemetry digest column is the reproducibility
 witness: it is backend-invariant *and* rerun-stable, because every
 stochastic choice in a scenario draws from streams derived from
 ``(campaign seed, role)`` names.

@@ -21,7 +21,7 @@ awareness stack on a fully simulated substrate:
 * :mod:`repro.platform` / :mod:`repro.koala` / :mod:`repro.sim` — the
   SoC, component-model, and discrete-event simulation substrates;
 * :mod:`repro.runtime`     — the typed event bus every layer publishes
-  on, the MonitorFleet/ExperimentRunner engine that multiplexes
+  on, the MonitorFleet engine that multiplexes
   hundreds of monitored SUOs on one kernel, and the streaming
   telemetry aggregators that keep thousand-SUO campaigns in bounded
   memory;
@@ -29,10 +29,10 @@ awareness stack on a fully simulated substrate:
   (ScenarioSpec → MonitorFleet compiler, a ≥10-entry named library,
   deterministic placement plans for sharded execution);
 * :mod:`repro.campaign`    — the unified campaign API: Campaign
-  (scenario × seed plans) executed through pluggable backends —
-  SerialBackend (one kernel) or ProcessShardBackend (one kernel per
-  shard in worker processes, merged telemetry, backend-invariant
-  telemetry digests).
+  (scenario × seed plans) executed by one backend over pluggable shard
+  executors — in-process, one worker process per shard (loss detected
+  and retried), or remote socket workers — with merged telemetry and
+  backend-invariant telemetry digests.
 """
 
 __version__ = "1.0.0"

@@ -6,17 +6,17 @@ is the API seam that makes scale pluggable:
 
 * :mod:`repro.campaign.core`        — :class:`Campaign` (the scenario ×
   seed plan) and :func:`execute_cell`, THE orchestration path every
-  backend flows through (plus :func:`run_cell` /
-  :func:`run_cell_detailed`, the blessed one-off surfaces);
-* :mod:`repro.campaign.backends`    — the PR 9 executor protocol
-  (``submit(plan) -> ShardResult``), :class:`SerialBackend` (one
-  kernel, in-process), and :class:`ProcessShardBackend` (device mix
-  partitioned into per-shard plans, one kernel + fleet per worker
-  process, merged telemetry);
-* :mod:`repro.campaign.distributed` — :class:`DistributedBackend`
-  dispatching shard plans to workers (in-process, per-process with
-  heartbeat loss detection, or remote over sockets) with bounded
-  retry;
+  cell flows through (plus :func:`run_cell` / :func:`run_cell_detailed`,
+  the one-off surfaces);
+* :mod:`repro.campaign.backends`    — :class:`ExecutorBackend`, the one
+  backend (bounded retry, concurrent dispatch) over the shard-executor
+  seam: :class:`InlineExecutor` (in-process) and
+  :class:`ProcessWorkerExecutor` (one heartbeating worker process per
+  shard attempt, loss detected and retried), plus the
+  :class:`SerialBackend` and :class:`ProcessShardBackend` presets and
+  :func:`execute_plan`, the primitive every executor runs;
+* :mod:`repro.campaign.distributed` — :class:`SocketWorkerExecutor` and
+  :class:`ShardWorkerServer`, shard workers on other hosts;
 * :mod:`repro.campaign.checkpoint`  — shard-durable progress in the
   :mod:`repro.obs.history` store and :func:`resume_campaign`;
 * :mod:`repro.campaign.report`      — :class:`CampaignReport`, the
@@ -24,23 +24,22 @@ is the API seam that makes scale pluggable:
   ``telemetry_digest``.
 
 ``python -m repro.campaign`` is the CLI (run / resume / status / list /
-worker).  ``ExperimentRunner`` (PR 1), ``ScenarioRunner`` (PR 2), and
-the pre-PR 9 entry points (``backend.run``, ``run_detailed``,
-``run_shard_plan``) survive as warn-once deprecation shims; see
-docs/CAMPAIGNS.md and docs/DISTRIBUTED.md.
+worker); see docs/CAMPAIGNS.md and docs/DISTRIBUTED.md.
 """
 
 from .backends import (
-    ExecutionBackend,
     ExecutorBackend,
+    InlineExecutor,
     ProcessShardBackend,
+    ProcessWorkerExecutor,
     SerialBackend,
+    ShardExhaustedError,
     ShardResult,
+    WorkerFaultInjector,
+    WorkerLostError,
     derive_shard_seed,
     execute_plan,
-    execute_plan_detailed,
     resolve_shards,
-    run_shard_plan,
 )
 from .checkpoint import (
     CampaignCheckpoint,
@@ -56,16 +55,7 @@ from .core import (
     run_cell,
     run_cell_detailed,
 )
-from .distributed import (
-    DistributedBackend,
-    InlineExecutor,
-    ProcessWorkerExecutor,
-    ShardExhaustedError,
-    ShardWorkerServer,
-    SocketWorkerExecutor,
-    WorkerFaultInjector,
-    WorkerLostError,
-)
+from .distributed import ShardWorkerServer, SocketWorkerExecutor
 from .report import (
     CAMPAIGN_TABLE_HEADER,
     CampaignReport,
@@ -80,8 +70,6 @@ __all__ = [
     "CampaignReport",
     "CellExecution",
     "CellHandle",
-    "DistributedBackend",
-    "ExecutionBackend",
     "ExecutorBackend",
     "InlineExecutor",
     "ProcessShardBackend",
@@ -97,7 +85,6 @@ __all__ = [
     "derive_shard_seed",
     "execute_cell",
     "execute_plan",
-    "execute_plan_detailed",
     "format_campaign_table",
     "merge_shard_results",
     "new_campaign_id",
@@ -105,5 +92,4 @@ __all__ = [
     "resume_campaign",
     "run_cell",
     "run_cell_detailed",
-    "run_shard_plan",
 ]

@@ -26,21 +26,20 @@ import json
 import sys
 from typing import List, Optional
 
-from .backends import ProcessShardBackend, SerialBackend
+from .backends import (
+    ExecutorBackend,
+    InlineExecutor,
+    ProcessShardBackend,
+    SerialBackend,
+)
 from .checkpoint import CampaignCheckpoint, new_campaign_id, resume_campaign
 from .core import Campaign
-from .distributed import (
-    DistributedBackend,
-    InlineExecutor,
-    ProcessWorkerExecutor,
-    ShardWorkerServer,
-    SocketWorkerExecutor,
-)
+from .distributed import ShardWorkerServer, SocketWorkerExecutor
 from .report import CampaignReport, format_campaign_table
 
 DEFAULT_DB = "BENCH_history.sqlite"
 
-BACKENDS = ("serial", "process", "inline", "distributed", "socket")
+BACKENDS = ("serial", "process", "inline", "socket")
 
 
 def _parse_address(value: str):
@@ -59,15 +58,13 @@ def _make_backend(args: argparse.Namespace):
     if args.backend == "process":
         return ProcessShardBackend(shards=shards)
     if args.backend == "inline":
-        return DistributedBackend(InlineExecutor(), shards=shards)
-    if args.backend == "distributed":
-        return DistributedBackend(ProcessWorkerExecutor(), shards=shards)
+        return ExecutorBackend(InlineExecutor(), shards=shards)
     if args.backend == "socket":
         if not args.workers:
             raise SystemExit(
                 "--backend socket needs at least one --worker host:port"
             )
-        return DistributedBackend(
+        return ExecutorBackend(
             SocketWorkerExecutor(args.workers), shards=shards,
         )
     raise SystemExit(f"unknown backend {args.backend!r}")

@@ -1,11 +1,8 @@
 """Campaign: the unified entry point for running scenario campaigns.
 
-One class replaces the three overlapping PR 1/PR 2 surfaces
-(``ExperimentRunner``, ``ScenarioRunner``, raw ``MonitorFleet``
-driving): a :class:`Campaign` is a scenario × seed *plan* — scenarios
-given as library names or :class:`~repro.scenarios.ScenarioSpec`
-objects — executed by a pluggable
-:class:`~repro.campaign.backends.ExecutorBackend`.
+A :class:`Campaign` is a scenario × seed *plan* — scenarios given as
+library names or :class:`~repro.scenarios.ScenarioSpec` objects —
+executed by a :class:`~repro.campaign.backends.ExecutorBackend`.
 
     from repro.campaign import Campaign, ProcessShardBackend
 
@@ -13,10 +10,10 @@ objects — executed by a pluggable
     reports = campaign.run()                          # serial, in-process
     sharded = campaign.run(ProcessShardBackend(shards=4))
 
-Since PR 9 every backend flows through :func:`execute_cell` — THE
-orchestration path: build the placement plan, resolve the shard count,
-partition, skip shards a checkpoint already holds, submit the rest
-through the backend's executor seam, merge.  Attaching a
+Every cell flows through :func:`execute_cell` — THE orchestration path:
+build the placement plan, resolve the shard count, partition, skip
+shards a checkpoint already holds, submit the rest through the
+backend's executor seam, merge.  Attaching a
 :class:`~repro.campaign.checkpoint.CampaignCheckpoint` makes every
 completed shard durable, so an interrupted campaign resumes where it
 stopped with a byte-identical ``telemetry_digest``.
@@ -33,11 +30,12 @@ from ..scenarios.compile import CompiledScenario
 from ..scenarios.library import get_scenario
 from ..scenarios.plan import build_plan, partition_plan
 from ..scenarios.spec import ScenarioSpec
+from . import backends
 from .backends import (
-    ExecutionBackend,
+    ExecutorBackend,
+    InlineExecutor,
     SerialBackend,
     ShardResult,
-    execute_plan_detailed,
 )
 from .report import CampaignReport, merge_shard_results
 
@@ -58,12 +56,12 @@ def _resolve_scenario(scenario: ScenarioLike, scale: float = 1.0) -> ScenarioSpe
 def execute_cell(
     spec: ScenarioSpec,
     seed: int,
-    backend: Optional[ExecutionBackend] = None,
+    backend: Optional[ExecutorBackend] = None,
     checkpoint: Optional[Any] = None,
     campaign_id: Optional[str] = None,
 ) -> CampaignReport:
     """Run one (scenario, seed) cell — the single path every backend
-    (serial, process-sharded, distributed) flows through.
+    and executor flows through.
 
     1. resolve the shard count — from the backend's policy, or from the
        checkpoint row when the cell was started before (the partition
@@ -121,12 +119,12 @@ def execute_cell(
 def run_cell(
     scenario: ScenarioLike,
     seed: int = 0,
-    backend: Optional[ExecutionBackend] = None,
+    backend: Optional[ExecutorBackend] = None,
     checkpoint: Optional[Any] = None,
     campaign_id: Optional[str] = None,
 ) -> CampaignReport:
-    """Run a single cell by spec or library name (the blessed one-off
-    surface; replaces the deprecated ``backend.run(spec, seed)``)."""
+    """Run a single cell by spec or library name (the one-off
+    surface)."""
     return execute_cell(
         _resolve_scenario(scenario), seed, backend=backend,
         checkpoint=checkpoint, campaign_id=campaign_id,
@@ -135,10 +133,8 @@ def run_cell(
 
 @dataclass
 class CellExecution:
-    """A serial cell run with its live in-process objects.
-
-    What ``SerialBackend.run_detailed`` used to return as a bare triple:
-    the merged report plus the :class:`FleetReport` and the live
+    """A serial cell run with its live in-process objects: the merged
+    report plus the :class:`FleetReport` and the live
     :class:`CompiledScenario` (members, span recorder, fleet) for
     callers that inspect the simulation — the fuzz oracle, the trace
     exporter, tests.
@@ -147,37 +143,42 @@ class CellExecution:
     report: CampaignReport
     fleet_report: FleetReport
     compiled: CompiledScenario
-    shard_result: ShardResult
 
     @property
     def span_recorder(self):
         return self.compiled.span_recorder
 
 
+class _LiveExecutor(InlineExecutor):
+    """Inline execution that keeps the shard's live compiled scenario."""
+
+    compiled: Optional[CompiledScenario] = None
+
+    def run_attempt(self, plan, attempt: int) -> ShardResult:
+        def keep(compiled: CompiledScenario, _index: int, _now: float) -> None:
+            self.compiled = compiled
+
+        return ShardResult(
+            shard_id=plan.shard_id,
+            payload=backends.execute_plan(plan, on_segment=keep),
+            attempt=attempt, worker=self.name,
+        )
+
+
 def run_cell_detailed(scenario: ScenarioLike, seed: int = 0) -> CellExecution:
     """Run one cell serially, keeping the live compiled objects.
 
     Necessarily in-process and single-shard (live fleets cannot cross a
-    process boundary); the report still flows through the same merge as
-    every other backend, so its digests are directly comparable.
+    process boundary); the report comes from :func:`execute_cell` on a
+    :class:`SerialBackend`, so its digests are directly comparable.
     """
-    spec = _resolve_scenario(scenario)
-    start = wallclock.perf_counter()
-    plan = build_plan(spec, seed)
-    payload, fleet_report, compiled = execute_plan_detailed(plan)
-    result = ShardResult(shard_id=0, payload=payload, worker="inline")
-    report = merge_shard_results(
-        scenario=spec.name,
-        seed=seed,
-        backend=SerialBackend.name,
-        shards=1,
-        results=[payload],
-        wall_seconds=wallclock.perf_counter() - start,
-        reservoir=spec.telemetry_reservoir,
-    )
+    live = _LiveExecutor()
+    backend = SerialBackend()
+    backend.executor = live
+    report = execute_cell(_resolve_scenario(scenario), seed, backend=backend)
     return CellExecution(
-        report=report, fleet_report=fleet_report, compiled=compiled,
-        shard_result=result,
+        report=report, fleet_report=live.compiled.report,
+        compiled=live.compiled,
     )
 
 
@@ -189,14 +190,14 @@ class Campaign:
         scenarios: Union[ScenarioLike, Iterable[ScenarioLike]],
         seeds: Iterable[int] = (0,),
         scale: float = 1.0,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[ExecutorBackend] = None,
     ) -> None:
         if isinstance(scenarios, (str, ScenarioSpec)):
             scenarios = [scenarios]
         if scale <= 0:
             raise ValueError("scale must be > 0")
         self.scale = scale
-        self.backend: ExecutionBackend = backend or SerialBackend()
+        self.backend: ExecutorBackend = backend or SerialBackend()
         specs = [self._resolve(scenario) for scenario in scenarios]
         seeds = [int(seed) for seed in seeds]
         if not specs:
@@ -217,7 +218,7 @@ class Campaign:
         self,
         scenario: ScenarioLike,
         seed: int = 0,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[ExecutorBackend] = None,
         checkpoint: Optional[Any] = None,
         campaign_id: Optional[str] = None,
     ) -> CampaignReport:
@@ -241,7 +242,7 @@ class Campaign:
 
     def run(
         self,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[ExecutorBackend] = None,
         checkpoint: Optional[Any] = None,
         campaign_id: Optional[str] = None,
     ) -> List[CampaignReport]:

@@ -40,7 +40,7 @@ import traceback
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from ..campaign.backends import ProcessShardBackend
+from ..campaign.backends import ExecutorBackend, InlineExecutor
 from ..campaign.core import run_cell, run_cell_detailed
 from ..campaign.report import CampaignReport
 from ..scenarios.spec import ScenarioSpec
@@ -224,7 +224,7 @@ def evaluate_candidate(
         shard_span_digest = None
         if check_divergence and spec.members >= 2:
             sharded = run_cell(
-                spec, seed, backend=ProcessShardBackend(shards=2, inline=True)
+                spec, seed, backend=ExecutorBackend(InlineExecutor(), shards=2)
             )
             shard_digest = sharded.telemetry_digest
             if spec.record_spans:

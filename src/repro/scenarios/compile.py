@@ -123,9 +123,9 @@ RECOVERY_REPAIRS: Dict[Tuple[str, str], Action] = {
 class CompiledScenario:
     """One :class:`ScenarioSpec` lowered onto a fresh MonitorFleet.
 
-    ``run()`` may be called repeatedly; like
-    :class:`~repro.runtime.fleet.ExperimentRunner`, setup happens once
-    and later calls extend the campaign by another ``spec.duration``.
+    ``run()`` may be called repeatedly: setup happens once and later
+    calls extend the campaign by another ``spec.duration``.  Every
+    report covers the campaign from its start.
 
     Every pre-run decision comes from a :class:`ScenarioPlan` (built
     here when not supplied), so a shard worker can compile its slice of
@@ -203,6 +203,8 @@ class CompiledScenario:
         self._elapsed = 0.0
         self._dispatched = 0
         self._wall = 0.0
+        #: The report of the latest run (None before the first).
+        self.report: Optional[FleetReport] = None
 
     # ------------------------------------------------------------------
     # deterministic assignment
@@ -484,6 +486,7 @@ class CompiledScenario:
         self._wall += wallclock.perf_counter() - start
         self._elapsed += self.spec.duration
         self._dispatched += dispatched
-        return build_fleet_report(
+        self.report = build_fleet_report(
             self.fleet, self._elapsed, self._dispatched, self._wall, self.faulty
         )
+        return self.report

@@ -3,17 +3,16 @@
 A :class:`JobManager` owns a bounded worker pool and a SQLite-backed
 :class:`~repro.obs.history.RunHistory` path.  Each submitted job is a
 scenario × seed grid; every cell executes through THE orchestration
-path — :func:`repro.campaign.core.execute_cell` with a
-:class:`~repro.campaign.distributed.DistributedBackend` whose
-:class:`ShardExecutor` is the :class:`StreamingExecutor` below — so a
-job run over HTTP is checkpointed shard-by-shard exactly like a CLI
-campaign, and its merged ``telemetry_digest`` / ``span_digest`` are
-byte-identical to a serial :func:`~repro.campaign.core.run_cell` of the
-same spec × seed.
+path — :func:`repro.campaign.core.execute_cell` with an
+:class:`~repro.campaign.backends.ExecutorBackend` whose shard executor
+is the :class:`StreamingExecutor` below — so a job run over HTTP is
+checkpointed shard-by-shard exactly like a CLI campaign, and its merged
+``telemetry_digest`` / ``span_digest`` are byte-identical to a serial
+:func:`~repro.campaign.core.run_cell` of the same spec × seed.
 
-Live streaming rides on the segmented-execution seam
-(:func:`repro.campaign.backends.execute_plan_segmented`): each shard
-runs as N kernel slices, and after every slice the executor emits a
+Live streaming rides on the segmented-execution seam of
+:func:`repro.campaign.backends.execute_plan`: each shard runs as N
+kernel slices, and after every slice the executor emits a
 flushed :class:`~repro.runtime.telemetry.FleetTelemetry` summary to the
 job's subscribers and checks for cancellation — which is why a
 mid-stream ``POST /campaigns/{id}/cancel`` lands between segments
@@ -38,8 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..campaign.checkpoint import CampaignCheckpoint
 from ..campaign.core import execute_cell
-from ..campaign.distributed import DistributedBackend
-from ..campaign.backends import ShardResult, execute_plan_segmented
+from ..campaign import backends
+from ..campaign.backends import ExecutorBackend, ShardResult
 from ..campaign.report import CampaignReport
 from ..obs.history import RunHistory
 from ..scenarios.library import get_scenario
@@ -67,9 +66,9 @@ TERMINAL_STATES = frozenset({"complete", "failed", "cancelled"})
 class JobCancelled(RuntimeError):
     """Raised inside a job thread when its cancel flag is set.
 
-    Deliberately NOT a :class:`~repro.campaign.distributed.
-    WorkerLostError`: the distributed backend retries lost workers, but
-    a cancellation must propagate straight out of ``submit_all``.
+    Deliberately NOT a :class:`~repro.campaign.backends.
+    WorkerLostError`: the backend retries lost workers, but a
+    cancellation must propagate straight out of ``submit_all``.
     """
 
 
@@ -261,14 +260,14 @@ class Job:
 
 # ----------------------------------------------------------------------
 class StreamingExecutor:
-    """A :class:`ShardExecutor` that narrates one job's shards.
+    """A shard executor that narrates one job's shards.
 
-    ``run_attempt`` drives the plan through
-    :func:`execute_plan_segmented`; after every kernel slice it emits a
-    flushed telemetry summary for the job's NDJSON stream and raises
-    :class:`JobCancelled` if the job was cancelled — the only two
-    behaviours layered on top of plain inline execution, neither of
-    which can perturb the payload (segmentation is digest-invariant by
+    ``run_attempt`` drives the plan through a segmented
+    :func:`~repro.campaign.backends.execute_plan`; after every kernel
+    slice it emits a flushed telemetry summary for the job's NDJSON
+    stream and raises :class:`JobCancelled` if the job was cancelled —
+    the only two behaviours layered on top of plain inline execution,
+    neither of which can perturb the payload (segmentation is digest-invariant by
     construction).
     """
 
@@ -301,7 +300,7 @@ class StreamingExecutor:
             if job.cancel_event.is_set():
                 raise JobCancelled(job.job_id)
 
-        payload = execute_plan_segmented(plan, self.segments, on_segment=on_segment)
+        payload = backends.execute_plan(plan, self.segments, on_segment=on_segment)
         record = {
             "type": "shard",
             "cell": self.cell_index,
@@ -421,7 +420,7 @@ class JobManager:
             for index, (spec, seed) in enumerate(job.cells):
                 if job.cancel_event.is_set():
                     raise JobCancelled(job.job_id)
-                backend = DistributedBackend(
+                backend = ExecutorBackend(
                     StreamingExecutor(job, index, job.segments),
                     shards=job.shards,
                     max_attempts=1,

@@ -59,7 +59,9 @@ class Machine:
         self.time = 0.0
         self.active: Optional[State] = None
         self.outputs: List[Output] = []
-        self._transitions: Dict[int, List[Transition]] = {}
+        #: Keyed by the source State object itself (identity-hashed), so
+        #: ``copy.deepcopy`` remaps the keys along with the states.
+        self._transitions: Dict[State, List[Transition]] = {}
         self._timers: List[_Timer] = []
         self._queue = EventQueue()
         self._output_listeners: List[Callable[[Output], None]] = []
@@ -75,11 +77,11 @@ class Machine:
     # construction
     # ------------------------------------------------------------------
     def add_transition(self, transition: Transition) -> Transition:
-        self._transitions.setdefault(id(transition.source), []).append(transition)
+        self._transitions.setdefault(transition.source, []).append(transition)
         return transition
 
     def transitions_from(self, state: State) -> List[Transition]:
-        return self._transitions.get(id(state), [])
+        return self._transitions.get(state, [])
 
     def all_transitions(self) -> List[Transition]:
         result: List[Transition] = []

@@ -4,7 +4,7 @@ The contract under test is the PR 3 acceptance bar: a campaign cell
 executed by ``ProcessShardBackend`` produces *identical* merged
 counter/tally telemetry to the same cell under ``SerialBackend`` (the
 ``telemetry_digest`` witness), per-shard trace digests reproduce across
-reruns, and the Campaign plan/grid semantics match the legacy runner.
+reruns, and the Campaign plan is a row-major scenario × seed grid.
 """
 
 import json
@@ -14,8 +14,9 @@ import pytest
 from repro.campaign import (
     Campaign,
     CampaignReport,
+    ExecutorBackend,
+    InlineExecutor,
     ProcessShardBackend,
-    SerialBackend,
     run_cell,
     format_campaign_table,
 )
@@ -188,7 +189,9 @@ def test_shard_trace_digests_reproduce_across_reruns():
 
 
 def test_inline_sharding_equals_process_sharding():
-    inline = run_cell(SMALL, 5, backend=ProcessShardBackend(shards=2, inline=True))
+    inline = run_cell(
+        SMALL, 5, backend=ExecutorBackend(InlineExecutor(), shards=2)
+    )
     process = run_cell(SMALL, 5, backend=ProcessShardBackend(shards=2))
     assert inline.telemetry_digest == process.telemetry_digest
     assert inline.shard_trace_digests == process.shard_trace_digests
@@ -201,115 +204,3 @@ def test_single_shard_request_runs_in_process():
     assert report.shards == 1
     assert report.telemetry_digest == serial.telemetry_digest
     assert report.shard_trace_digests == serial.shard_trace_digests
-
-
-# ----------------------------------------------------------------------
-# legacy shims
-# ----------------------------------------------------------------------
-def test_backend_run_shim_warns_once_and_matches_run_cell():
-    """PR 9 pin: ``backend.run(spec, seed)`` warns (once) and forwards
-    to the unified orchestration path — identical digests."""
-    from repro.runtime import fleet as fleet_module
-
-    fleet_module._DEPRECATION_WARNED.discard("ExecutionBackend.run")
-    with pytest.warns(DeprecationWarning, match="run_cell"):
-        legacy = SerialBackend().run(SMALL, 5)
-    unified = run_cell(SMALL, 5)
-    assert legacy.telemetry_digest == unified.telemetry_digest
-    assert legacy.shard_trace_digests == unified.shard_trace_digests
-    assert legacy.detected == unified.detected
-    # warn-once: a second call through any backend's shim is silent
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ProcessShardBackend(shards=2, inline=True).run(SMALL, 5)
-    assert not [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-
-
-def test_run_detailed_shim_warns_and_matches_run_cell_detailed():
-    """PR 9 pin: ``SerialBackend.run_detailed`` still returns the
-    legacy (report, fleet_report, compiled) triple."""
-    from repro.campaign import run_cell_detailed
-    from repro.runtime import fleet as fleet_module
-
-    fleet_module._DEPRECATION_WARNED.discard("SerialBackend.run_detailed")
-    with pytest.warns(DeprecationWarning, match="run_cell_detailed"):
-        report, fleet_report, compiled = SerialBackend().run_detailed(
-            SMALL, 5
-        )
-    cell = run_cell_detailed(SMALL, 5)
-    assert report.telemetry_digest == cell.report.telemetry_digest
-    assert fleet_report.trace_digest == cell.fleet_report.trace_digest
-    assert compiled.spec == cell.compiled.spec
-
-
-def test_run_shard_plan_shim_warns_and_matches_execute_plan():
-    """PR 9 pin: module-level ``run_shard_plan`` forwards to
-    ``execute_plan`` with an identical payload."""
-    from repro.campaign import execute_plan, run_shard_plan
-    from repro.runtime import fleet as fleet_module
-
-    fleet_module._DEPRECATION_WARNED.discard("run_shard_plan")
-    plan = build_plan(SMALL, 5)
-    with pytest.warns(DeprecationWarning, match="execute_plan"):
-        legacy = run_shard_plan(plan)
-    fresh = execute_plan(plan)
-    drop_wall = lambda payload: {  # noqa: E731 — wall-clock is not data
-        key: value for key, value in payload.items()
-        if key != "wall_seconds"
-    }
-    assert drop_wall(legacy) == drop_wall(fresh)
-
-
-def test_scenario_runner_shim_matches_campaign():
-    from repro.runtime import fleet as fleet_module
-    from repro.scenarios import ScenarioRunner
-
-    fleet_module._DEPRECATION_WARNED.discard("ScenarioRunner")  # warns only once
-    with pytest.warns(DeprecationWarning, match="Campaign"):
-        runner = ScenarioRunner()
-    legacy = runner.run(SMALL, seed=5)
-    unified = Campaign(SMALL).run_cell(SMALL, seed=5)
-    assert legacy.fleet.trace_digest == unified.shard_trace_digests[0]
-    assert legacy.fleet.dispatched == unified.dispatched
-    assert sorted(legacy.fleet.faulty) == unified.faulty
-    data = json.loads(legacy.to_json())
-    assert data["scenario"] == "campaign-small"
-    assert data["trace_digest"] == legacy.fleet.trace_digest
-
-
-def test_experiment_runner_warns_deprecation_exactly_once():
-    import warnings
-
-    from repro.runtime import ExperimentRunner, MonitorFleet
-    from repro.runtime import fleet as fleet_module
-
-    fleet_module._DEPRECATION_WARNED.discard("ExperimentRunner")
-    fleet = MonitorFleet(seed=1)
-    fleet.add_tvs(2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ExperimentRunner(fleet, duration=1.0)
-        ExperimentRunner(fleet, duration=1.0)
-        ExperimentRunner(fleet, duration=1.0)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, "the shim must warn exactly once per process"
-    assert "Campaign" in str(deprecations[0].message)
-
-
-def test_scenario_runner_warns_deprecation_exactly_once():
-    import warnings
-
-    from repro.runtime import fleet as fleet_module
-    from repro.scenarios import ScenarioRunner
-
-    fleet_module._DEPRECATION_WARNED.discard("ScenarioRunner")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ScenarioRunner()
-        ScenarioRunner(scale=0.5)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, "the shim must warn exactly once per process"

@@ -15,7 +15,7 @@ import pytest
 
 from repro.campaign import (
     CampaignCheckpoint,
-    DistributedBackend,
+    ExecutorBackend,
     InlineExecutor,
     ProcessShardBackend,
     ProcessWorkerExecutor,
@@ -56,7 +56,7 @@ def test_fault_injector_is_deterministic_and_bounded():
 # retry and exhaustion
 # ----------------------------------------------------------------------
 def test_inline_kill_retries_and_records_attempt_provenance():
-    backend = DistributedBackend(
+    backend = ExecutorBackend(
         InlineExecutor(WorkerFaultInjector(kill_shards=(0,), kills=2)),
         shards=1, max_attempts=3,
     )
@@ -67,7 +67,7 @@ def test_inline_kill_retries_and_records_attempt_provenance():
 
 
 def test_exhausted_shard_raises_instead_of_merging_partial():
-    backend = DistributedBackend(
+    backend = ExecutorBackend(
         InlineExecutor(WorkerFaultInjector(kill_shards=(0,), kills=99)),
         shards=2, max_attempts=2,
     )
@@ -77,7 +77,7 @@ def test_exhausted_shard_raises_instead_of_merging_partial():
 
 def test_distributed_inline_matches_serial_digest():
     serial = run_cell(small_spec(), 5)
-    backend = DistributedBackend(
+    backend = ExecutorBackend(
         InlineExecutor(WorkerFaultInjector(kill_shards=(1,))), shards=3,
     )
     report = run_cell(small_spec(), 5, backend=backend)
@@ -90,7 +90,7 @@ def test_distributed_inline_matches_serial_digest():
 # ----------------------------------------------------------------------
 def test_process_worker_survives_a_real_kill():
     serial = run_cell(small_spec(), 5)
-    backend = DistributedBackend(
+    backend = ExecutorBackend(
         ProcessWorkerExecutor(WorkerFaultInjector(kill_shards=(0,))),
         shards=2,
     )
@@ -107,9 +107,35 @@ def test_process_worker_loss_is_a_worker_lost_error():
         executor.run_attempt(plan, 0)
 
 
+def test_dead_shard_worker_does_not_hang_a_sharded_cell(tmp_path):
+    """Shard 1's worker process dies on its first attempt: the preset
+    process backend detects the loss, retries the shard on a fresh
+    worker, and the cell lands with the serial digests."""
+    spec = small_spec(record_spans=True)
+    serial = run_cell(spec, 5)
+    backend = ProcessShardBackend(shards=2)
+    backend.executor = ProcessWorkerExecutor(
+        fault_injector=WorkerFaultInjector((1,))
+    )
+    db = str(tmp_path / "checkpoint.sqlite")
+    with CampaignCheckpoint(db) as checkpoint:
+        report = run_cell(
+            spec, 5, backend=backend,
+            checkpoint=checkpoint, campaign_id="dead-worker",
+        )
+        cell = checkpoint.cells("dead-worker")[0]
+        rows = checkpoint.history.campaign_shard_rows(cell["id"])
+    assert report.telemetry_digest == serial.telemetry_digest
+    assert report.span_digest == serial.span_digest
+    by_shard = {row["shard_id"]: row for row in rows}
+    assert by_shard[1]["attempt"] == 1
+    assert by_shard[0]["attempt"] == 0
+
+
 def test_heartbeat_timeout_must_exceed_interval():
-    with pytest.raises(ValueError, match="exceed"):
-        ProcessWorkerExecutor(heartbeat_interval=1.0, heartbeat_timeout=0.5)
+    from repro.campaign.backends import HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT
+
+    assert HEARTBEAT_TIMEOUT > HEARTBEAT_INTERVAL > 0
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +183,7 @@ def test_socket_workers_match_serial_and_survive_a_dropped_connection():
     flaky.serve_in_background()
     healthy.serve_in_background()
     try:
-        backend = DistributedBackend(
+        backend = ExecutorBackend(
             SocketWorkerExecutor([flaky.address, healthy.address]),
             shards=2,
         )
@@ -209,7 +235,7 @@ def test_interrupt_then_resume_is_digest_identical_to_serial(name, tmp_path):
 
     # Sitting 1: shard 1's worker dies with no retry allowed; the cell
     # raises, but every other shard is already durable.
-    broken = DistributedBackend(
+    broken = ExecutorBackend(
         InlineExecutor(WorkerFaultInjector(kill_shards=(1,))),
         shards=shards, max_attempts=1,
     )
@@ -224,7 +250,7 @@ def test_interrupt_then_resume_is_digest_identical_to_serial(name, tmp_path):
 
     # Sitting 2: resume re-executes ONLY the lost shard.
     counting = CountingExecutor()
-    healthy = DistributedBackend(counting, shards=shards)
+    healthy = ExecutorBackend(counting, shards=shards)
     with CampaignCheckpoint(db) as checkpoint:
         reports = resume_campaign("drill", checkpoint, backend=healthy)
     assert counting.executed == [1]
@@ -253,7 +279,7 @@ def test_resume_reuses_recorded_shard_resolution(tmp_path):
         with pytest.raises(ShardExhaustedError):
             run_cell(
                 spec, 5,
-                backend=DistributedBackend(
+                backend=ExecutorBackend(
                     InlineExecutor(WorkerFaultInjector(kill_shards=(2,))),
                     shards=3, max_attempts=1,
                 ),
@@ -263,7 +289,7 @@ def test_resume_reuses_recorded_shard_resolution(tmp_path):
     with CampaignCheckpoint(db) as checkpoint:
         reports = resume_campaign(
             "c", checkpoint,
-            backend=DistributedBackend(InlineExecutor(), shards=5),
+            backend=ExecutorBackend(InlineExecutor(), shards=5),
         )
         cell = checkpoint.status("c")["cells"][0]
     assert reports[0].shards == 3
@@ -274,7 +300,7 @@ def test_resume_reuses_recorded_shard_resolution(tmp_path):
 def test_autotune_decision_is_recorded_in_the_checkpoint_row(tmp_path):
     spec = get_scenario("zapping-storm")  # 120 members at full scale
     db = str(tmp_path / "checkpoint.sqlite")
-    backend = ProcessShardBackend(shards=None, inline=True)
+    backend = ExecutorBackend(InlineExecutor(), shards=None)
     with CampaignCheckpoint(db) as checkpoint:
         run_cell(
             spec, 5, backend=backend,
@@ -288,7 +314,7 @@ def test_autotune_decision_is_recorded_in_the_checkpoint_row(tmp_path):
 
 def test_retried_shard_appends_attempts_never_overwrites(tmp_path):
     db = str(tmp_path / "checkpoint.sqlite")
-    backend = DistributedBackend(
+    backend = ExecutorBackend(
         InlineExecutor(WorkerFaultInjector(kill_shards=(0,), kills=1)),
         shards=2, max_attempts=2,
     )
@@ -310,14 +336,14 @@ def test_checkpointed_rerun_skips_every_durable_shard(tmp_path):
     first = CountingExecutor()
     with CampaignCheckpoint(db) as checkpoint:
         run_cell(
-            small_spec(), 5, backend=DistributedBackend(first, shards=2),
+            small_spec(), 5, backend=ExecutorBackend(first, shards=2),
             checkpoint=checkpoint, campaign_id="c",
         )
     assert sorted(first.executed) == [0, 1]
     second = CountingExecutor()
     with CampaignCheckpoint(db) as checkpoint:
         report = run_cell(
-            small_spec(), 5, backend=DistributedBackend(second, shards=2),
+            small_spec(), 5, backend=ExecutorBackend(second, shards=2),
             checkpoint=checkpoint, campaign_id="c",
         )
     assert second.executed == []

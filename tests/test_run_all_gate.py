@@ -18,14 +18,27 @@ if BENCHMARKS not in sys.path:
 
 from run_all import evaluate_report, skipped_gates  # noqa: E402
 
-from repro.campaign import ProcessShardBackend, resolve_shards  # noqa: E402
+from repro.campaign import (  # noqa: E402
+    ExecutorBackend,
+    InlineExecutor,
+    ProcessShardBackend,
+    resolve_shards,
+)
 from repro.scenarios import ScenarioSpec  # noqa: E402
 
 
 def passing_report():
     return {
+        "mode": "full",
         "kernel_events_per_sec": 1_000_000,
         "seed_baseline": {"kernel_events_per_sec": 370_000},
+        "perf_floor": {
+            "fleet_events_per_sec": 120_000,
+            "scenarios_events_per_sec": 130_000,
+            "max_regression": 0.30,
+        },
+        "fleet": {"events_per_sec": 120_000},
+        "scenarios": {"events_per_sec": 130_000},
         "sharded": {"digests_match": True},
         "detection": {
             "player-seek-stress": {
@@ -157,6 +170,15 @@ def test_drill_must_record_finite_per_wave_ttr():
     assert any("not finite" in f for f in evaluate_report(report))
 
 
+def test_every_detection_cell_must_record_finite_per_wave_ttr():
+    report = passing_report()
+    report["detection"]["printer-burst"]["ttr_waves"] = {
+        "0": {"count": 1, "min": 5.0, "max": float("inf"), "mean": 5.0},
+    }
+    failures = evaluate_report(report)
+    assert "printer-burst wave 0: time-to-recover not finite" in failures
+
+
 def test_false_alarms_fail_the_gate():
     report = passing_report()
     report["detection"]["player-seek-stress"]["false_alarms"] = 2
@@ -176,13 +198,6 @@ def floored_report(mode="full", cpu_count=4):
     report = passing_report()
     report["mode"] = mode
     report["sharded"]["cpu_count"] = cpu_count
-    report["perf_floor"] = {
-        "fleet_events_per_sec": 120_000,
-        "scenarios_events_per_sec": 130_000,
-        "max_regression": 0.30,
-    }
-    report["fleet"] = {"events_per_sec": 120_000}
-    report["scenarios"] = {"events_per_sec": 130_000}
     return report
 
 
@@ -219,8 +234,57 @@ def test_perf_floor_skipped_in_quick_mode_on_one_cpu_host():
     assert evaluate_report(report) != []
 
 
-def test_reports_without_a_recorded_floor_are_not_gated():
-    assert evaluate_report(passing_report()) == []
+def test_report_without_a_perf_floor_block_fails():
+    report = passing_report()
+    del report["perf_floor"]
+    assert "perf_floor missing from the report" in evaluate_report(report)
+
+
+# ----------------------------------------------------------------------
+# the exit status is evaluate_report's verdict
+# ----------------------------------------------------------------------
+def stub_probes(monkeypatch, report):
+    """Replace every run_all probe with a canned slice of ``report``."""
+    import run_all
+
+    fleet = dict(report["fleet"], members=100, deterministic=True)
+    scenarios = dict(report["scenarios"], members=1000, streaming=True)
+    sharded = dict(
+        report["sharded"], members=300, shards=2, cpu_count=4, speedup=2.0
+    )
+    probes = {
+        "probe_kernel": report["kernel_events_per_sec"],
+        "probe_single_suo": 200_000.0,
+        "probe_fleet": fleet,
+        "probe_sharded": sharded,
+        "probe_detection": report["detection"],
+        "probe_diagnosis": report["diagnosis"],
+        "probe_fuzz": report["fuzz"],
+        "probe_resume": report["resume"],
+        "probe_service": report["service"],
+        "probe_scenarios": scenarios,
+    }
+    for name, value in probes.items():
+        monkeypatch.setattr(
+            run_all, name, lambda *_args, _value=value, **_kw: _value
+        )
+
+
+def test_main_exits_one_exactly_when_evaluate_report_fails(
+    monkeypatch, tmp_path
+):
+    import run_all
+
+    stub_probes(monkeypatch, passing_report())
+    out = str(tmp_path / "bench.json")
+    argv = ["run_all.py", "--no-benches", "--no-history", "--out", out]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert run_all.main() == 0
+    monkeypatch.setattr(
+        run_all, "evaluate_report",
+        lambda _report, priors=None: ["injected gate failure"],
+    )
+    assert run_all.main() == 1
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +573,9 @@ def test_span_forest_digest_is_shard_invariant(name):
 
     spec = replace(get_scenario(name), record_spans=True)
     serial = run_cell(spec, 7)
-    sharded = run_cell(spec, 7, backend=ProcessShardBackend(shards=2, inline=True))
+    sharded = run_cell(
+        spec, 7, backend=ExecutorBackend(InlineExecutor(), shards=2)
+    )
     assert serial.spans["completed"] > 0
     assert sharded.span_digest == serial.span_digest
     assert sharded.spans["completed"] == serial.spans["completed"]
@@ -550,7 +616,9 @@ def test_autotuned_run_matches_serial_digest():
         "auto-cell", "d", duration=20.0, tvs=6,
         profiles=(UserProfile("p", mean_gap=3.0, keys=("power", "vol_up")),),
     )
-    auto = run_cell(spec, 5, backend=ProcessShardBackend(shards=None, inline=True))
+    auto = run_cell(
+        spec, 5, backend=ExecutorBackend(InlineExecutor(), shards=None)
+    )
     serial = run_cell(spec, 5)
     assert auto.telemetry_digest == serial.telemetry_digest
     assert auto.shards == resolve_shards(spec.members)

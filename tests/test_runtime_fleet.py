@@ -1,15 +1,44 @@
-"""Tests for the MonitorFleet / ExperimentRunner layer.
+"""Tests for the MonitorFleet layer.
 
 The fleet engine multiplexes many monitored SUOs on one kernel and one
 bus; the properties that matter are isolation (per-SUO topic namespaces),
-determinism (same seed → byte-identical fleet trace), and that the
-campaign machinery actually detects injected faults without false alarms.
+determinism (same seed → byte-identical fleet trace), and that campaigns
+over a fleet — declared as scenarios, compiled onto a MonitorFleet —
+actually detect injected faults without false alarms.
 """
 
 import pytest
 
-from repro.runtime import ExperimentRunner, MonitorFleet
+from repro.campaign import run_cell_detailed
+from repro.runtime import MonitorFleet, build_fleet_report
 from repro.runtime.fleet import derive_member_seed
+from repro.scenarios import CompiledScenario, FaultPhase, ScenarioSpec, UserProfile
+
+
+def fleet_spec(
+    tvs, duration, players=0, fault_fraction=0.0, keys=None, mean_gap=4.0,
+    retain_trace=None,
+):
+    """Random users on every TV; with ``fault_fraction`` a
+    volume-overshoot fault a third of the way in."""
+    phases = ()
+    if fault_fraction:
+        phases = (FaultPhase(
+            "volume_overshoot", at=duration / 3.0, fraction=fault_fraction,
+        ),)
+    return ScenarioSpec(
+        name="fleet-test",
+        description="test fixture",
+        duration=duration,
+        tvs=tvs,
+        players=players,
+        profiles=(UserProfile(
+            "users", mean_gap=mean_gap,
+            keys=tuple(keys) if keys else None,
+        ),),
+        phases=phases,
+        retain_trace=retain_trace,
+    )
 
 
 def test_members_share_one_kernel_and_bus():
@@ -61,11 +90,8 @@ def test_fleet_trace_is_deterministic_across_runs():
     """Same seed → byte-identical merged fleet trace (two fresh runs)."""
 
     def digest():
-        fleet = MonitorFleet(seed=11)
-        fleet.add_tvs(5)
-        fleet.add_player()
-        runner = ExperimentRunner(fleet, duration=40.0, fault_fraction=0.4)
-        report = runner.run()
+        spec = fleet_spec(5, 40.0, players=1, fault_fraction=0.4)
+        report = run_cell_detailed(spec, 11).fleet_report
         return report.trace_digest, report.dispatched
 
     first, second = digest(), digest()
@@ -75,26 +101,20 @@ def test_fleet_trace_is_deterministic_across_runs():
 
 def test_different_seed_changes_the_trace():
     def digest(seed):
-        fleet = MonitorFleet(seed=seed)
-        fleet.add_tvs(3)
-        ExperimentRunner(fleet, duration=30.0).run()
-        return fleet.trace_digest()
+        cell = run_cell_detailed(fleet_spec(3, 30.0), seed)
+        return cell.compiled.fleet.trace_digest()
 
     assert digest(1) != digest(2)
 
 
 def test_campaign_detects_injected_faults_without_false_alarms():
-    fleet = MonitorFleet(seed=42)
-    fleet.add_tvs(12)
-    runner = ExperimentRunner(
-        fleet,
-        duration=120.0,
+    spec = fleet_spec(
+        12, 120.0,
         fault_fraction=0.5,
-        fault="volume_overshoot",
         # volume-heavy sessions make the overshoot fault observable
         keys=["power", "vol_up", "vol_down", "ch_up", "mute", "menu", "back"],
     )
-    report = runner.run()
+    report = run_cell_detailed(spec, 42).fleet_report
     assert report.members == 12
     assert report.faulty, "campaign should afflict someone at 50%"
     assert report.detected, "at least one injected fault must be caught"
@@ -105,9 +125,8 @@ def test_campaign_detects_injected_faults_without_false_alarms():
 
 def test_fleet_scales_to_one_hundred_suos():
     """The acceptance workload: 100 SUOs, one kernel, deterministic."""
-    fleet = MonitorFleet(seed=9)
-    fleet.add_tvs(100)
-    report = ExperimentRunner(fleet, duration=20.0).run()
+    cell = run_cell_detailed(fleet_spec(100, 20.0), 9)
+    fleet, report = cell.compiled.fleet, cell.fleet_report
     assert report.members == 100
     assert report.dispatched > 10_000
     powered = sum(1 for m in fleet.members.values() if m.suo.powered)
@@ -154,11 +173,15 @@ def test_wall_clock_zero_does_not_divide():
 
 
 # ----------------------------------------------------------------------
-# ExperimentRunner edge cases
+# campaign edge cases
 # ----------------------------------------------------------------------
 def test_runner_on_an_empty_fleet():
+    """An empty fleet runs and reports guarded zeros; the declarative
+    layer refuses the empty mix outright."""
     fleet = MonitorFleet(seed=1)
-    report = ExperimentRunner(fleet, duration=10.0, fault_fraction=0.5).run()
+    report = build_fleet_report(fleet, 10.0, fleet.run(10.0), 0.0, [])
+    with pytest.raises(ValueError, match="empty device mix"):
+        ScenarioSpec("empty", "d", duration=10.0).validate()
     assert report.members == 0
     assert report.dispatched == 0
     assert report.faulty == []
@@ -168,14 +191,12 @@ def test_runner_on_an_empty_fleet():
 
 
 def test_runner_faults_into_every_member():
-    fleet = MonitorFleet(seed=8)
-    fleet.add_tvs(6)
-    report = ExperimentRunner(
-        fleet,
-        duration=120.0,
+    spec = fleet_spec(
+        6, 120.0,
         fault_fraction=1.0,
         keys=["power", "vol_up", "vol_down", "mute", "ch_up"],
-    ).run()
+    )
+    report = run_cell_detailed(spec, 8).fleet_report
     assert len(report.faulty) == 6  # fraction 1.0 afflicts everyone
     assert report.false_alarms == []
     assert report.false_alarm_rate == 0.0  # no clean member exists
@@ -183,13 +204,12 @@ def test_runner_faults_into_every_member():
 
 
 def test_repeated_run_extends_the_campaign_instead_of_restarting():
-    fleet = MonitorFleet(seed=21)
-    fleet.add_tvs(8)
-    runner = ExperimentRunner(fleet, duration=30.0, mean_gap=5.0)
-    first = runner.run()
+    compiled = CompiledScenario(fleet_spec(8, 30.0, mean_gap=5.0), seed=21)
+    fleet = compiled.fleet
+    first = compiled.run()
     powered = sum(1 for m in fleet.members.values() if m.suo.powered)
     assert powered > 0
-    second = runner.run()
+    second = compiled.run()
     # setup ran once: every TV has exactly one driver and the clock moved on
     assert all(m.driver is not None for m in fleet.members.values() if m.kind == "tv")
     assert fleet.kernel.now == pytest.approx(60.0)
@@ -201,10 +221,11 @@ def test_repeated_run_extends_the_campaign_instead_of_restarting():
 
 def test_streaming_mode_matches_retained_digest_with_no_records():
     def campaign(retain):
-        fleet = MonitorFleet(seed=13, retain_trace=retain)
-        fleet.add_tvs(4)
-        report = ExperimentRunner(fleet, duration=30.0).run()
-        return fleet, report
+        compiled = CompiledScenario(
+            fleet_spec(4, 30.0, retain_trace=retain), seed=13
+        )
+        report = compiled.run()
+        return compiled.fleet, report
 
     retained_fleet, retained = campaign(True)
     streaming_fleet, streaming = campaign(False)
@@ -228,8 +249,6 @@ def test_false_alarm_denominator_counts_monitored_clean_members():
         if member.monitor is None:
             member.faulty = True
     faulty = [m for m in fleet.members.values() if m.faulty]
-    from repro.runtime import build_fleet_report
-
     report = build_fleet_report(fleet, 1.0, 0, 0.0, faulty)
     assert report.monitored_clean == 3  # the three monitored, clean TVs
     assert report.false_alarm_rate == 0.0

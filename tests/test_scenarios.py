@@ -2,22 +2,22 @@
 
 Covers the declarative layer (spec validation), the compiler (profile
 assignment, phased fault schedules with repair, streaming-trace auto
-mode), the library (≥10 named scenarios, each runnable), and the runner
-(scenario × seed sweeps with byte-identical telemetry for a fixed seed).
+mode), the library (≥10 named scenarios, each runnable), and scenario ×
+seed sweeps through the campaign API (byte-identical telemetry for a
+fixed seed).
 """
 
 import json
 
 import pytest
 
+from repro.campaign import Campaign, format_campaign_table, run_cell_detailed
 from repro.scenarios import (
     SCENARIOS,
     CompiledScenario,
     FaultPhase,
-    ScenarioRunner,
     ScenarioSpec,
     UserProfile,
-    format_table,
     get_scenario,
     register_scenario,
     scenario_names,
@@ -177,41 +177,38 @@ def test_register_scenario_rejects_duplicates():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_library_scenario_runs_and_is_deterministic(name):
-    """Acceptance: each named scenario runs via ScenarioRunner with a
+    """Acceptance: each named scenario runs as a campaign cell with a
     byte-identical telemetry summary for a fixed seed."""
-    runner = ScenarioRunner(scale=0.5)  # half-size fleets keep this fast
-    first = runner.run(name, seed=11)
-    second = runner.run(name, seed=11)
-    assert first.fleet.dispatched == second.fleet.dispatched
-    assert first.fleet.trace_digest == second.fleet.trace_digest
-    first_bytes = json.dumps(first.telemetry, sort_keys=True)
-    second_bytes = json.dumps(second.telemetry, sort_keys=True)
+    campaign = Campaign([name], scale=0.5)  # half-size fleets keep this fast
+    first = campaign.run_cell(name, seed=11)
+    second = campaign.run_cell(name, seed=11)
+    assert first.dispatched == second.dispatched
+    assert first.shard_trace_digests == second.shard_trace_digests
+    first_bytes = json.dumps(first.telemetry_summary, sort_keys=True)
+    second_bytes = json.dumps(second.telemetry_summary, sort_keys=True)
     assert first_bytes == second_bytes
     assert first.telemetry_digest == second.telemetry_digest
-    assert first.fleet.members > 0
-    assert first.fleet.dispatched > 0
+    assert first.members > 0
+    assert first.dispatched > 0
 
 
 # ----------------------------------------------------------------------
-# runner / sweep
+# scenario × seed sweeps
 # ----------------------------------------------------------------------
 def test_sweep_covers_the_full_grid_row_major():
-    runner = ScenarioRunner()
-    reports = runner.sweep([SMALL], seeds=[1, 2])
+    reports = Campaign([SMALL], seeds=[1, 2]).run()
     assert [(r.scenario, r.seed) for r in reports] == [("small", 1), ("small", 2)]
     assert reports[0].telemetry_digest != reports[1].telemetry_digest
 
 
 def test_sweep_accepts_names_and_specs_mixed():
-    runner = ScenarioRunner(scale=0.25)
-    reports = runner.sweep(["zapping-storm", SMALL], seeds=[4])
+    reports = Campaign(["zapping-storm", SMALL], seeds=[4], scale=0.25).run()
     assert [r.scenario for r in reports] == ["zapping-storm", "small"]
 
 
 def test_format_table_renders_all_rows():
-    runner = ScenarioRunner()
-    reports = runner.sweep([SMALL], seeds=[1, 2])
-    table = format_table(reports)
+    reports = Campaign([SMALL], seeds=[1, 2]).run()
+    table = format_campaign_table(reports)
     assert "scenario" in table and "telemetry digest" in table
     assert table.count("small") == 2
 
@@ -229,14 +226,13 @@ def test_monitored_printers_enter_detection_accounting():
     page-rate observables), so injected printer faults count as faulty
     and the silent jam is actually detected — the scenario is no longer
     a structural-zero cell."""
-    report = ScenarioRunner().run("printer-burst", seed=3)
-    assert report.fleet.faulty, "silent_jam targets must be marked faulty"
-    assert all(suo.startswith("printer") for suo in report.fleet.faulty)
+    cell = run_cell_detailed("printer-burst", seed=3)
+    report = cell.report
+    assert report.faulty, "silent_jam targets must be marked faulty"
+    assert all(suo.startswith("printer") for suo in report.faulty)
     assert report.detection_rate > 0.0
     assert report.false_alarm_rate == 0.0
-    compiled = ScenarioRunner().compile("printer-burst", seed=3)
-    compiled.run()
-    jammed = [m for m in compiled.fleet.members.values()
+    jammed = [m for m in cell.compiled.fleet.members.values()
               if m.kind == "printer" and m.suo.feeder.silently_jammed]
     assert jammed, "silent_jam phase must still afflict printers"
     for member in jammed:

@@ -15,14 +15,13 @@ import pytest
 
 from repro.campaign import (
     CampaignCheckpoint,
-    DistributedBackend,
+    ExecutorBackend,
     InlineExecutor,
     ShardResult,
     WorkerFaultInjector,
     execute_plan,
     run_cell,
 )
-from repro.campaign.backends import execute_plan_segmented
 from repro.campaign.cli import main as campaign_cli_main
 from repro.campaign.core import execute_cell
 from repro.campaign.report import merge_shard_results
@@ -53,7 +52,7 @@ class TestSegmentedExecution:
         serial = run_cell(spec, seed=3)
         plan = partition_plan(build_plan(spec, seed=3), 1)[0]
         for segments in (1, 2, 7):
-            payload = execute_plan_segmented(plan, segments)
+            payload = execute_plan(plan, segments)
             merged = merge_shard_results(
                 spec.name, 3, "segmented", 1, [payload], 0.0,
             )
@@ -64,7 +63,7 @@ class TestSegmentedExecution:
         spec = small_spec()
         plan = partition_plan(build_plan(spec, seed=1), 1)[0]
         seen = []
-        execute_plan_segmented(
+        execute_plan(
             plan, 4, on_segment=lambda _c, i, now: seen.append((i, now)),
         )
         assert [index for index, _now in seen] == [0, 1, 2, 3]
@@ -75,12 +74,12 @@ class TestSegmentedExecution:
     def test_segments_must_be_positive(self):
         plan = partition_plan(build_plan(small_spec(), seed=0), 1)[0]
         with pytest.raises(ValueError):
-            execute_plan_segmented(plan, 0)
+            execute_plan(plan, 0)
 
     def test_matches_unsegmented_payload_exactly(self):
         plan = partition_plan(build_plan(small_spec(), seed=5), 1)[0]
         flat = execute_plan(plan)
-        sliced = execute_plan_segmented(plan, 3)
+        sliced = execute_plan(plan, 3)
         flat.pop("wall_seconds"), sliced.pop("wall_seconds")
         assert json.dumps(flat, sort_keys=True) == \
             json.dumps(sliced, sort_keys=True)
@@ -297,7 +296,7 @@ class TestPerShardStatus:
         db = str(tmp_path / "history.sqlite")
         spec = small_spec()
         with CampaignCheckpoint(db) as checkpoint:
-            backend = DistributedBackend(
+            backend = ExecutorBackend(
                 InlineExecutor(WorkerFaultInjector(kill_shards=(1,), kills=1)),
                 shards=2, max_attempts=3, parallelism=1,
             )
@@ -315,7 +314,7 @@ class TestPerShardStatus:
         db = str(tmp_path / "history.sqlite")
         spec = small_spec()
         with CampaignCheckpoint(db) as checkpoint:
-            backend = DistributedBackend(
+            backend = ExecutorBackend(
                 InlineExecutor(), shards=3, parallelism=1,
             )
             cell = checkpoint.begin_cell("partial", spec, 9, backend)
@@ -338,7 +337,7 @@ class TestPerShardStatus:
     def test_complete_cells_stay_compact_in_cli(self, tmp_path, capsys):
         db = str(tmp_path / "history.sqlite")
         with CampaignCheckpoint(db) as checkpoint:
-            backend = DistributedBackend(
+            backend = ExecutorBackend(
                 InlineExecutor(), shards=2, parallelism=1,
             )
             execute_cell(

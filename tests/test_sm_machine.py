@@ -254,3 +254,33 @@ class TestOutputs:
         machine.advance(3.0)
         machine.inject("power")
         assert machine.outputs[-1].time == 3.0
+
+
+class TestDeepcopy:
+    def test_deepcopied_tv_spec_model_behaves_like_the_original(self):
+        """``copy.deepcopy`` remaps the transition table along with the
+        states, so the copy keeps every enabled transition and answers
+        the same key presses with the same observable trajectory."""
+        import copy
+
+        from repro.tv.control_model import build_tv_model
+
+        original = build_tv_model()
+        clone = copy.deepcopy(original)
+        assert clone.transitions_from(clone.active)
+        assert [t.name for t in clone.all_transitions()] == [
+            t.name for t in original.all_transitions()
+        ]
+        keys = ["power", "vol_up", "vol_up", "menu", "back", "ch_up",
+                "ttx", "ttx", "mute", "epg", "epg", "power"]
+        trajectories = {id(original): [], id(clone): []}
+        for step, key in enumerate(keys):
+            for machine in (original, clone):
+                machine.advance(float(step))
+                fired = machine.inject(key)
+                trajectories[id(machine)].append(
+                    (fired, machine.configuration(), dict(machine.vars))
+                )
+        assert trajectories[id(clone)] == trajectories[id(original)]
+        assert clone.outputs == original.outputs
+        assert all(fired for fired, _config, _vars in trajectories[id(clone)][:3])
