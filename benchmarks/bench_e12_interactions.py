@@ -15,7 +15,7 @@ historical modeling mistakes and shows the checker catching each, and
 
 from repro.statemachine import Event, ModelChecker, TestGenerator
 from repro.tv import build_tv_model
-from repro.tv.control_model import _exit_dual
+from repro.tv.control_model import _exit_dual, tv_model_builder
 
 from conftest import print_table, qscale, run_once
 
@@ -90,36 +90,29 @@ def test_e12_shipped_model_is_clean(benchmark):
 
 def _buggy_dual_ttx():
     """Modeling mistake 1: forgot that ttx must force single screen."""
-    machine = build_tv_model(channel_count=CHANNELS)
-    for transition in machine.all_transitions():
+    b = tv_model_builder(channel_count=CHANNELS)
+    for transition in b.chart.all_transitions():
         if transition.action is _exit_dual and transition.event == "ttx":
             transition.action = None  # the forgotten suppression rule
-    return machine
+    return b.build()
 
 
 def _buggy_double_transition():
     """Modeling mistake 2: two enabled transitions for the same event."""
-    from repro.statemachine import Transition
-
-    machine = build_tv_model(channel_count=CHANNELS)
-    viewing = machine._find_state("tv_spec_root.on.viewing")
-    menu = machine._find_state("tv_spec_root.on.menu")
-    machine.add_transition(
-        Transition(viewing, menu, event="epg", name="epg-also-opens-menu")
-    )
-    return machine
+    b = tv_model_builder(channel_count=CHANNELS)
+    b.transition("viewing", "menu", event="epg", name="epg-also-opens-menu")
+    return b.build()
 
 
 def _buggy_dead_state():
     """Modeling mistake 3: the EPG overlay is declared but never entered
     (every transition *into* it was forgotten) — dead model parts."""
-    machine = build_tv_model(channel_count=CHANNELS)
-    epg = machine._find_state("tv_spec_root.on.epg")
-    for bucket_key in list(machine._transitions):
-        machine._transitions[bucket_key] = [
-            t for t in machine._transitions[bucket_key] if t.target is not epg
-        ]
-    return machine
+    b = tv_model_builder(channel_count=CHANNELS)
+    epg = b.get_state("epg")
+    transitions = b.chart.transitions
+    for source, bucket in list(transitions.items()):
+        transitions[source] = tuple(t for t in bucket if t.target is not epg)
+    return b.build()
 
 
 def test_e12_checker_catches_seeded_modeling_errors(benchmark):

@@ -24,7 +24,10 @@ throughput probes measure the runtime itself:
 * ``fleet``      — a 100-SUO fleet scenario (events/sec), plus a
   byte-identical-trace determinism check;
 * ``scenarios``  — a 1000-SUO streaming-telemetry scenario (the E15
-  workload), recording its trace and telemetry digests;
+  workload), recording its trace and telemetry digests, the end-to-end
+  ``device_sim_s_per_s`` (members × simulated seconds per wall second
+  of the whole cell, compile included) and ``compile_us_per_member``
+  next to the kernel-only ``events_per_sec``;
 * ``sharded``    — the same scenario through the campaign API, serial vs
   ``ProcessShardBackend``: records the wall-clock speedup and **fails
   the run if the serial and sharded telemetry digests diverge** (the CI
@@ -57,7 +60,9 @@ log never reads as a pass for a check that did not run.
 
 ``BENCH_runtime.json`` carries the numbers plus the seed-kernel baseline
 measured before the runtime refactor, so future PRs can see the
-trajectory at a glance.  Independently, every run is appended to the
+trajectory at a glance, and a ``provenance`` block (CPU count, host,
+Python version, GC thresholds, git rev) naming what they were measured
+on.  Independently, every run is appended to the
 run-history store (``BENCH_history.sqlite`` by default, ``--history`` to
 point elsewhere, ``--no-history`` to opt out): :mod:`repro.obs.history`
 keeps the full report per run, and :func:`evaluate_report` then also
@@ -70,10 +75,12 @@ Inspect or trend the store with ``python -m repro.obs``.
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -105,14 +112,27 @@ SEED_BASELINE = {
 #: probe drops more than ``max_regression`` below these full-mode
 #: numbers.  Quick-mode runs on 1-CPU hosts skip the floor, same as the
 #: bench_e16 speedup guard: there the wall-clock numbers measure the
-#: container, not the runtime.
+#: container, not the runtime.  ``hosts`` says where each row was
+#: recorded.
 PERF_FLOOR = {
     "fleet_events_per_sec": 122_000,
     "scenarios_events_per_sec": 137_000,
     "fuzz_candidates_per_sec": 2.0,
+    "scenarios_device_sim_s_per_s": 12_000,
     "max_regression": 0.30,
     "note": "full-mode probes after the dispatch overhaul, same host, best of 3; "
             "fuzz floor recorded with the PR 8 probe config (8 candidates)",
+    "hosts": {
+        "fleet_events_per_sec": "1-CPU reference container (dispatch overhaul)",
+        "scenarios_events_per_sec": "1-CPU reference container (dispatch overhaul)",
+        "fuzz_candidates_per_sec": "1-CPU reference container (8-candidate fuzz probe)",
+        "scenarios_device_sim_s_per_s": (
+            "2-CPU container, Python 3.11, shared-statechart fleet build: "
+            "probe runs measured 10.5k-17.2k (busy vs quiet host), the "
+            "earlier per-member chart build 6.7k-8.4k; see provenance in "
+            "BENCH_runtime.json"
+        ),
+    },
 }
 
 TV_WORKLOAD = [
@@ -217,10 +237,42 @@ def probe_scenarios(members: int = 1000, duration: float = 20.0) -> dict:
         "sim_duration": duration,
         "dispatched": report.dispatched,
         "events_per_sec": round(fleet_report.events_per_sec),
+        "wall_seconds": round(report.wall_seconds, 3),
+        "device_sim_s_per_s": round(
+            report.members * duration / report.wall_seconds
+        ),
+        "compile_us_per_member": round(
+            cell.compiled.compile_seconds / report.members * 1e6
+        ),
         "streaming": not fleet_report.retained_trace,
         "suo_events": report.telemetry_summary["events_total"],
         "telemetry_digest": report.telemetry_digest,
         "trace_digest": report.shard_trace_digests[0],
+    }
+
+
+def provenance() -> dict:
+    """What the numbers were measured on (never part of a digest)."""
+    def git(*args: str):
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=REPO_ROOT, capture_output=True,
+                text=True, timeout=10, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            return None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "cpu_count": os.cpu_count(),
+        "host": platform.node(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "gc_threshold": list(gc.get_threshold()),
+        "git_rev": git("rev-parse", "HEAD"),
+        # Uncommitted changes to tracked files: the rev alone does not
+        # name the measured code.
+        "git_dirty": None if status is None else bool(status),
     }
 
 
@@ -836,6 +888,8 @@ def evaluate_report(report: dict, priors: list = None) -> list:
             ("fleet", "fleet_events_per_sec", "events_per_sec", "events/sec"),
             ("scenarios", "scenarios_events_per_sec", "events_per_sec",
              "events/sec"),
+            ("scenarios", "scenarios_device_sim_s_per_s",
+             "device_sim_s_per_s", "device-sim-s/s"),
             ("fuzz", "fuzz_candidates_per_sec", "candidates_per_sec",
              "candidates/sec"),
         ):
@@ -969,7 +1023,9 @@ def main() -> int:
     scenarios = probe_scenarios()
     print(
         f"  scenario: {scenarios['events_per_sec']:,} events/sec over "
-        f"{scenarios['members']} SUOs, streaming={scenarios['streaming']}"
+        f"{scenarios['members']} SUOs, streaming={scenarios['streaming']}; "
+        f"end to end {scenarios['device_sim_s_per_s']:,} device-sim-s/s, "
+        f"compile {scenarios['compile_us_per_member']:,} us/member"
     )
 
     benches = {}
@@ -980,6 +1036,7 @@ def main() -> int:
 
     report = {
         "mode": "quick" if args.quick else "full",
+        "provenance": provenance(),
         "kernel_events_per_sec": round(kernel_eps),
         "single_suo_events_per_sec": round(single_eps),
         "fleet": fleet,

@@ -48,6 +48,7 @@ in CI) holds for every executor:
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import threading
@@ -209,11 +210,16 @@ def execute_plan(
     between slices with live telemetry flushed — where the campaign
     service samples snapshots for its NDJSON stream and checks for
     cancellation — and after the last one, which is where an in-process
-    caller can keep the live compiled scenario.
+    caller can keep the live compiled scenario.  Once the payload is
+    built the scenario is closed (:meth:`CompiledScenario.close`): a
+    kept scenario stays inspectable but cannot run again.
     """
     compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
-    fleet_report = compiled.run_segmented(segments, on_segment=on_segment)
-    return _shard_payload(compiled, fleet_report)
+    try:
+        fleet_report = compiled.run_segmented(segments, on_segment=on_segment)
+        return _shard_payload(compiled, fleet_report)
+    finally:
+        compiled.close()
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +304,12 @@ def _process_worker_main(
 ) -> None:
     """Worker-process body: heartbeat from a side thread, simulate the
     shard, send the payload home.  Module-level so every start method
-    can ship it by reference."""
+    can ship it by reference.
+
+    A forked worker lives for one shard, so the heap it inherits is
+    never garbage: freezing it first keeps every cyclic collection in
+    the worker from traversing the parent's objects again."""
+    gc.freeze()
     stop = threading.Event()
     send_lock = threading.Lock()
 

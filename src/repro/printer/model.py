@@ -19,6 +19,7 @@ from ..awareness.config import AwarenessConfig
 from ..awareness.monitor import AwarenessMonitor
 from ..core.contract import Observation
 from ..statemachine.builder import MachineBuilder
+from ..statemachine.chart import Statechart, shared_chart
 from ..statemachine.machine import Machine
 from .engine import Printer
 
@@ -64,7 +65,16 @@ def _on_job_done(machine: Machine, event) -> None:
 
 def build_printer_model() -> Machine:
     """Job-lifecycle spec: idle / printing / paused with queue depth and
-    throughput expectations (the PR 4 detection-depth observables)."""
+    throughput expectations (the detection-depth observables).
+    Each call returns a fresh machine over the one shared chart."""
+    machine = Machine(printer_model_chart())
+    machine.initialize()
+    return machine
+
+
+@shared_chart
+def printer_model_chart() -> Statechart:
+    """The printer specification model's statechart."""
     b = MachineBuilder("printer_spec")
     b.var("jobs", 0)
     b.var("last_progress", 0.0)
@@ -99,7 +109,7 @@ def build_printer_model() -> Machine:
     )
     b.transition("printing", "idle", event="cancel", action=lambda m, e: m.set("jobs", 0))
     b.transition("paused", "idle", event="cancel", action=lambda m, e: m.set("jobs", 0))
-    return b.build()
+    return b.build_chart()
 
 
 def expected_status(machine: Machine) -> str:

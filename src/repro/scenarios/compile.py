@@ -125,7 +125,8 @@ class CompiledScenario:
 
     ``run()`` may be called repeatedly: setup happens once and later
     calls extend the campaign by another ``spec.duration``.  Every
-    report covers the campaign from its start.
+    report covers the campaign from its start.  :meth:`close` ends the
+    simulation for good (see there).
 
     Every pre-run decision comes from a :class:`ScenarioPlan` (built
     here when not supplied), so a shard worker can compile its slice of
@@ -140,6 +141,7 @@ class CompiledScenario:
         seed: int = 0,
         plan: Optional[ScenarioPlan] = None,
     ) -> None:
+        start = wallclock.perf_counter()
         if plan is None:
             plan = build_plan(spec, seed)
         self.plan = plan
@@ -200,11 +202,14 @@ class CompiledScenario:
                     self.fleet.members[planned.suo_id]
                 )
         self._started = False
+        self._closed = False
         self._elapsed = 0.0
         self._dispatched = 0
         self._wall = 0.0
         #: The report of the latest run (None before the first).
         self.report: Optional[FleetReport] = None
+        #: Wall-clock seconds this fleet took to build (never digested).
+        self.compile_seconds = wallclock.perf_counter() - start
 
     # ------------------------------------------------------------------
     # deterministic assignment
@@ -463,6 +468,10 @@ class CompiledScenario:
         """
         if segments < 1:
             raise ValueError("segments must be >= 1")
+        if self._closed:
+            raise RuntimeError(
+                f"scenario {self.spec.name!r} is closed; compile it again to run"
+            )
         if not self._started:
             self._started = True
             self._power_on_tvs()
@@ -490,3 +499,18 @@ class CompiledScenario:
             self.fleet, self._elapsed, self._dispatched, self._wall, self.faulty
         )
         return self.report
+
+    def close(self) -> None:
+        """Tear the finished simulation down (idempotent).
+
+        Closes every suspended process generator on the fleet's kernel.
+        A suspended generator in the fleet's reference cycles makes the
+        first cyclic collection after the run only run finalizers and
+        free nothing; closed ones let a single collection free the whole
+        fleet.  The scenario stays inspectable — fleet, monitors, span
+        recorder, :attr:`report`, machine fire counts — but :meth:`run`
+        raises from now on.
+        """
+        if not self._closed:
+            self._closed = True
+            self.fleet.kernel.close_processes()

@@ -74,6 +74,15 @@ def _signature(machine: Machine, time: float, gap: float) -> Tuple[str, bool, bo
     )
 
 
+def _unfired_key_transitions(machine: Machine) -> set:
+    """Names of key-triggered transitions ``machine`` has not fired."""
+    return {
+        t.name
+        for t in machine.all_transitions()
+        if t not in machine.fire_counts and t.event in EXERCISE_KEYS
+    }
+
+
 def _search_step(
     committed: Machine,
     scratch: Machine,
@@ -83,15 +92,10 @@ def _search_step(
     """Shortest key sequence (at ``gap`` cadence) firing any transition
     the committed trajectory has not fired yet; empty when none is
     reachable."""
-    pending = {
-        t.name
-        for t in committed.all_transitions()
-        if t.fire_count == 0 and t.event in EXERCISE_KEYS
-    }
+    pending = _unfired_key_transitions(committed)
     if not pending:
         return ()
     scratch.restore(committed.snapshot())
-    transitions = scratch.all_transitions()
     queue = deque([(scratch.snapshot(), now, ())])
     seen = {_signature(scratch, now, gap)}
     nodes = 0
@@ -99,14 +103,14 @@ def _search_step(
         snapshot, time, keys = queue.popleft()
         for key in EXERCISE_KEYS:
             scratch.restore(snapshot)
-            before = [t.fire_count for t in transitions]
+            before = dict(scratch.fire_counts)
             scratch.advance(time + gap)
             scratch.inject(key)
             nodes += 1
             fired = {
                 t.name
-                for t, count in zip(transitions, before)
-                if t.fire_count > count
+                for t, count in scratch.fire_counts.items()
+                if count > before.get(t, 0)
             }
             if fired & pending:
                 return keys + (key,)
@@ -166,11 +170,7 @@ def uncovered_by_exercise(
         now += gap
         machine.advance(now)
         machine.inject(key)
-    return frozenset(
-        t.name
-        for t in machine.all_transitions()
-        if t.fire_count == 0 and t.event in EXERCISE_KEYS
-    )
+    return frozenset(_unfired_key_transitions(machine))
 
 
 def exercise_profile(

@@ -33,13 +33,20 @@ caller that passes ``transient=True`` promises not to retain the
 returned handle past the event's dispatch or cancellation; in exchange
 the kernel reuses the object, which removes the single biggest
 allocation churn in a fleet tick.
+
+Teardown: the kernel keeps a registry of its live processes (a process
+joins on construction and leaves when it finishes).
+:meth:`Kernel.close_processes` closes every suspended generator, so a
+finished simulation is freed by a single cyclic collection instead of
+surviving the first one while the collector runs the generators'
+finalizers.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..runtime.bus import EventBus
 from ..runtime.registry import ServiceRegistry
@@ -180,6 +187,9 @@ class Kernel:
         self.compactions = 0
         #: Recycled transient Event objects (bounded).
         self._free: List[Event] = []
+        #: Live processes on this kernel, in start order (insertion-
+        #: ordered dict used as a set; see repro.sim.process).
+        self.processes: Dict[Any, None] = {}
 
     # ------------------------------------------------------------------
     # time
@@ -466,6 +476,23 @@ class Kernel:
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
         return len(self._queue) - self._cancelled_debt
+
+    # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+    def close_processes(self) -> None:
+        """End every live process without resuming it.
+
+        All of them are marked dead before any generator is closed, so
+        the ``finally`` blocks that closing runs (a task releasing its
+        core, say) cannot wake another process of this simulation.  Call
+        it only once the simulation's results have been read.
+        """
+        processes, self.processes = self.processes, {}
+        for process in processes:
+            process.alive = False
+        for process in processes:
+            process.generator.close()
 
 
 def _NOOP() -> None:  # recycled events point here until reassigned

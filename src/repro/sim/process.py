@@ -117,6 +117,7 @@ class Process:
         self._waiting_signal: Optional[Signal] = None
         self._wake: Callable[[], None] = lambda: self._resume(None)
         self._wake_name = f"wake:{name}"
+        kernel.processes[self] = None
         kernel.schedule(0.0, self._wake, name=f"start:{name}", transient=True)
 
     # ------------------------------------------------------------------
@@ -165,6 +166,7 @@ class Process:
 
     def _finish(self, result: Any = None, exception: Optional[BaseException] = None) -> None:
         self.alive = False
+        self.kernel.processes.pop(self, None)
         self.result = result
         self.exception = exception
         watchers, self._exit_watchers = self._exit_watchers, []

@@ -1,6 +1,7 @@
 """Executable timed hierarchical state machines (the Stateflow analogue)."""
 
 from .builder import MachineBuilder
+from .chart import Statechart, shared_chart
 from .events import Event, EventQueue
 from .machine import Machine, MachineError, Output
 from .states import State, least_common_ancestor
@@ -14,9 +15,11 @@ __all__ = [
     "MachineError",
     "Output",
     "State",
+    "Statechart",
     "TIMEOUT_EVENT",
     "Transition",
     "least_common_ancestor",
+    "shared_chart",
 ]
 
 from .check import CheckReport, ModelChecker, Violation

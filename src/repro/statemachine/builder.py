@@ -15,27 +15,33 @@ transitions in one readable block::
     b.transition("on", "off", event="key_power")
     b.transition("viewing", "menu", event="key_menu")
     machine = b.build()
+
+``build()`` freezes the builder's :class:`~repro.statemachine.chart.
+Statechart` and returns a machine over it; ``build_chart()`` returns
+the frozen chart itself, for callers that run many machines over one
+structure (see :func:`~repro.statemachine.chart.shared_chart`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from .chart import Statechart
 from .machine import Machine
 from .states import State
 from .transitions import GuardFn, Transition, TransitionActionFn
 
 
 class MachineBuilder:
-    """Accumulates states/transitions, then builds a :class:`Machine`."""
+    """Accumulates states/transitions into a :class:`Statechart`, then
+    freezes it and builds a :class:`Machine` over it."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.root = State(f"{name}_root")
         self._states: Dict[str, State] = {self.root.name: self.root}
         self._pending_initial: Dict[str, str] = {}
-        self._machine = Machine(name, self.root)
-        self._built = False
+        self.chart = Statechart(name, self.root)
 
     # ------------------------------------------------------------------
     def state(
@@ -47,6 +53,7 @@ class MachineBuilder:
         on_exit: Optional[Callable[[Machine], None]] = None,
     ) -> State:
         """Declare a state (child of ``parent`` or of the root)."""
+        self.chart.require_open(f"declare state {name!r}")
         if name in self._states:
             raise ValueError(f"duplicate state name {name!r}")
         parent_state = self.root if parent is None else self._states[name_or_raise(self._states, parent)]
@@ -86,18 +93,17 @@ class MachineBuilder:
             name=name,
             internal=internal,
         )
-        self._machine.add_transition(transition)
-        return transition
+        return self.chart.add_transition(transition)
 
     def var(self, key: str, value) -> "MachineBuilder":
-        """Declare an initial machine variable."""
-        self._machine.vars[key] = value
+        """Declare an initial machine variable (an immutable value)."""
+        self.chart.declare_var(key, value)
         return self
 
     # ------------------------------------------------------------------
-    def build(self, initialize: bool = True, time: float = 0.0) -> Machine:
-        """Resolve initial-state links and return the machine."""
-        if self._built:
+    def build_chart(self) -> Statechart:
+        """Resolve initial-state links and return the frozen chart."""
+        if self.chart.frozen:
             raise RuntimeError("build() called twice")
         for parent_name, child_name in self._pending_initial.items():
             parent = self._states[parent_name]
@@ -108,10 +114,14 @@ class MachineBuilder:
                 raise ValueError(
                     f"compound state {state.name!r} has no initial child"
                 )
-        self._built = True
+        return self.chart.freeze()
+
+    def build(self, initialize: bool = True, time: float = 0.0) -> Machine:
+        """Freeze the chart and return a machine over it."""
+        machine = Machine(self.build_chart())
         if initialize:
-            self._machine.initialize(time)
-        return self._machine
+            machine.initialize(time)
+        return machine
 
     def get_state(self, name: str) -> State:
         return self._states[name]

@@ -14,6 +14,13 @@ tree of :mod:`repro.statemachine.states`:
 The machine is the reproduction's Stateflow: the paper generates C code
 from Stateflow models and runs it in the Model Executor; we execute the
 model object directly, which has the same observable behaviour.
+
+Structure and state are split.  A machine runs over a frozen
+:class:`~repro.statemachine.chart.Statechart` (states, transitions,
+initial variables) that any number of machines share, and keeps only
+its own run state: variables, active state, time, timers, event queue,
+outputs, nondeterminism log, step count and per-transition
+:attr:`Machine.fire_counts`.
 """
 
 from __future__ import annotations
@@ -22,13 +29,10 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .chart import MachineError, Statechart
 from .events import Event, EventQueue
 from .states import State, least_common_ancestor
 from .transitions import TIMEOUT_EVENT, Transition
-
-
-class MachineError(Exception):
-    """Raised on malformed machines or semantic violations."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,20 +56,20 @@ class Machine:
 
     MAX_COMPLETION_CHAIN = 64
 
-    def __init__(self, name: str, root: State) -> None:
-        self.name = name
-        self.root = root
-        self.vars: Dict[str, Any] = {}
+    def __init__(self, chart: Statechart) -> None:
+        self.chart = chart
+        self.name = chart.name
+        self.root = chart.root
+        self.vars: Dict[str, Any] = dict(chart.initial_vars)
         self.time = 0.0
         self.active: Optional[State] = None
         self.outputs: List[Output] = []
-        #: Keyed by the source State object itself (identity-hashed), so
-        #: ``copy.deepcopy`` remaps the keys along with the states.
-        self._transitions: Dict[State, List[Transition]] = {}
+        #: How often each transition fired on this machine (absent: 0).
+        self.fire_counts: Dict[Transition, int] = {}
+        self._transitions = chart.transitions
         self._timers: List[_Timer] = []
         self._queue = EventQueue()
         self._output_listeners: List[Callable[[Output], None]] = []
-        self._in_step = False
         self.step_count = 0
         #: Nondeterministic choices observed (state, event, transitions);
         #: the model checker reads this to flag modeling errors.
@@ -74,20 +78,13 @@ class Machine:
         self.strict = False
 
     # ------------------------------------------------------------------
-    # construction
+    # structure (read-only: it belongs to the shared chart)
     # ------------------------------------------------------------------
-    def add_transition(self, transition: Transition) -> Transition:
-        self._transitions.setdefault(transition.source, []).append(transition)
-        return transition
-
-    def transitions_from(self, state: State) -> List[Transition]:
-        return self._transitions.get(state, [])
+    def transitions_from(self, state: State) -> Tuple[Transition, ...]:
+        return self._transitions.get(state, ())
 
     def all_transitions(self) -> List[Transition]:
-        result: List[Transition] = []
-        for bucket in self._transitions.values():
-            result.extend(bucket)
-        return result
+        return self.chart.all_transitions()
 
     def on_output(self, listener: Callable[[Output], None]) -> None:
         self._output_listeners.append(listener)
@@ -186,7 +183,8 @@ class Machine:
         return None
 
     def _fire(self, transition: Transition, event: Event) -> None:
-        transition.fire_count += 1
+        counts = self.fire_counts
+        counts[transition] = counts.get(transition, 0) + 1
         if transition.internal or transition.target is None:
             if transition.action is not None:
                 transition.action(self, event)
@@ -345,13 +343,13 @@ class Machine:
         self.vars = copy.deepcopy(snapshot["vars"])
         self.time = snapshot["time"]
         active_name = snapshot["active"]
-        self.active = self._find_state(active_name) if active_name else None
+        self.active = self.chart.find_state(active_name) if active_name else None
         self._timers = []
         by_name = {t.name: t for t in self.all_transitions()}
         for deadline, tname, sname in snapshot["timers"]:
             transition = by_name[tname]
             self._timers.append(
-                _Timer(deadline, transition, self._find_state(sname))
+                _Timer(deadline, transition, self.chart.find_state(sname))
             )
 
     def reseed(
@@ -373,7 +371,8 @@ class Machine:
         deadline for that state by name (used when the SUO exposes the
         true expiry of a transient, e.g. an on-screen volume bar).
         """
-        state = self._find_state(leaf) if "." in leaf else self._find_leaf(leaf)
+        chart = self.chart
+        state = chart.find_state(leaf) if "." in leaf else chart.find_leaf(leaf)
         if time < self.time:
             raise MachineError("cannot reseed backwards in time")
         if vars:
@@ -389,25 +388,6 @@ class Machine:
                     continue
                 deadline = deadlines.get(node.name, self.time + transition.after)
                 self._timers.append(_Timer(deadline, transition, node))
-
-    def _find_leaf(self, name: str) -> State:
-        """Locate a state by bare name anywhere in the tree."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.name == name:
-                return node
-            stack.extend(node.children.values())
-        raise MachineError(f"unknown state {name!r}")
-
-    def _find_state(self, full_name: str) -> State:
-        parts = full_name.split(".")
-        node = self.root
-        if parts[0] != node.name:
-            raise MachineError(f"unknown state {full_name}")
-        for part in parts[1:]:
-            node = node.children[part]
-        return node
 
     def configuration(self) -> str:
         """Readable active-state path (observable internal state)."""

@@ -91,6 +91,9 @@ class State:
             node = node.parent
         return False
 
+    def __deepcopy__(self, memo: dict) -> "State":
+        return self  # chart structure is shared, never copied
+
     def __repr__(self) -> str:
         return f"State({self.full_name()})"
 

@@ -123,14 +123,12 @@ class TestGenerator:
         transitions the walk exercised (by fire-count delta, so one
         O(transitions) diff instead of per-dispatch bookkeeping)."""
         if self._graph is None:
-            before = {
-                id(t): t.fire_count for t in self.machine.all_transitions()
-            }
+            counts = self.machine.fire_counts
+            before = dict(counts)
             self._graph = self._explore()
             self._fired_names = frozenset(
-                t.name
-                for t in self.machine.all_transitions()
-                if t.fire_count > before[id(t)]
+                t.name for t, count in counts.items()
+                if count > before.get(t, 0)
             )
         return self._graph
 
@@ -154,7 +152,7 @@ class TestGenerator:
         """Names of the machine's transitions the reachable LTS can fire.
 
         Coarser than :meth:`coverage_keys` (one name may label many LTS
-        edges) but directly comparable with live ``fire_count`` data —
+        edges) but directly comparable with live ``Machine.fire_counts`` data —
         the granularity :mod:`repro.fuzz` reads off running monitors.
         """
         self._ensure_explored()

@@ -26,7 +26,15 @@ TIMEOUT_EVENT = "__timeout__"
 
 
 class Transition:
-    """One edge of the statechart."""
+    """One edge of the statechart.
+
+    Once its :class:`~repro.statemachine.chart.Statechart` is built the
+    transition is shared by every machine over the chart, so assigning
+    to it raises.  How often it fired is per machine
+    (``Machine.fire_counts``).
+    """
+
+    frozen = False
 
     def __init__(
         self,
@@ -56,7 +64,16 @@ class Transition:
         self.after = after
         self.internal = internal
         self.name = name or self._default_name()
-        self.fire_count = 0
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if self.frozen:
+            raise AttributeError(
+                f"transition {self.name!r} belongs to a built statechart"
+            )
+        object.__setattr__(self, name, value)
+
+    def __deepcopy__(self, memo: dict) -> "Transition":
+        return self  # chart structure is shared, never copied
 
     def _default_name(self) -> str:
         trigger = self.event or (f"after({self.after})" if self.after is not None else "[guard]")

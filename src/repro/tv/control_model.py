@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Optional
 
 from ..statemachine.builder import MachineBuilder
+from ..statemachine.chart import Statechart, shared_chart
 from ..statemachine.machine import Machine
 
 VOLUME_STEP = 5
@@ -115,7 +116,43 @@ def build_tv_model(
     initial_channel: int = 1,
     initial_volume: int = 30,
 ) -> Machine:
-    """Construct and initialize the TV specification model."""
+    """Construct and initialize the TV specification model: a fresh
+    machine over the one shared chart for these arguments."""
+    machine = Machine(
+        tv_model_chart(
+            channel_count,
+            frozenset(locked_channels or frozenset()),
+            initial_channel,
+            initial_volume,
+        )
+    )
+    machine.initialize()
+    return machine
+
+
+@shared_chart
+def tv_model_chart(
+    channel_count: int,
+    locked_channels: FrozenSet[int],
+    initial_channel: int,
+    initial_volume: int,
+) -> Statechart:
+    """The TV specification model's statechart (built once per
+    argument tuple, shared by every TV monitor)."""
+    return tv_model_builder(
+        channel_count, locked_channels, initial_channel, initial_volume
+    ).build_chart()
+
+
+def tv_model_builder(
+    channel_count: int = 99,
+    locked_channels: FrozenSet[int] = frozenset(),
+    initial_channel: int = 1,
+    initial_volume: int = 30,
+) -> MachineBuilder:
+    """The TV specification model declared but not yet built — a
+    private chart a caller may still edit (the model-quality bench
+    seeds historical modelling mistakes into it)."""
     b = MachineBuilder("tv_spec")
     b.var("channel", initial_channel)
     b.var("channel_count", channel_count)
@@ -124,7 +161,7 @@ def build_tv_model(
     b.var("dual", False)
     b.var("pip", 0)
     b.var("lock_enabled", False)
-    b.var("locked", frozenset(locked_channels or frozenset()))
+    b.var("locked", locked_channels)
     b.var("sleep", 0)
 
     b.state("standby")
@@ -262,7 +299,7 @@ def build_tv_model(
     # alert dismissal -------------------------------------------------------
     b.transition("alert", "viewing", event="ok")
 
-    return b.build()
+    return b
 
 
 # ----------------------------------------------------------------------

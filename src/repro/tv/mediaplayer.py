@@ -18,6 +18,7 @@ from ..sim.kernel import Kernel
 from ..sim.process import Delay, Interrupted, Process
 from ..sim.resources import Store
 from ..statemachine.builder import MachineBuilder
+from ..statemachine.chart import Statechart, shared_chart
 from ..statemachine.machine import Machine
 
 
@@ -343,8 +344,17 @@ def build_player_model(media_duration: Optional[float] = None) -> Machine:
 
     ``media_duration`` bounds the progress expectation: once playback
     reaches the end of the media, the pipeline legitimately goes quiet
-    even though the control state still reads ``playing``.
+    even though the control state still reads ``playing``.  Each call
+    returns a fresh machine over the one shared chart per duration.
     """
+    machine = Machine(player_model_chart(media_duration))
+    machine.initialize()
+    return machine
+
+
+@shared_chart
+def player_model_chart(media_duration: Optional[float]) -> Statechart:
+    """The player specification model's statechart."""
     b = MachineBuilder("player_spec")
     b.var("position", 0.0)
     b.var("last_progress", None)
@@ -366,7 +376,7 @@ def build_player_model(media_duration: Optional[float] = None) -> Machine:
     b.transition(
         "playing", None, event="progress", internal=True, action=_player_mark_progress
     )
-    return b.build()
+    return b.build_chart()
 
 
 def expected_player_state(machine: Machine) -> str:

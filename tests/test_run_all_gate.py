@@ -38,7 +38,11 @@ def passing_report():
             "max_regression": 0.30,
         },
         "fleet": {"events_per_sec": 120_000},
-        "scenarios": {"events_per_sec": 130_000},
+        "scenarios": {
+            "events_per_sec": 130_000,
+            "device_sim_s_per_s": 10_000,
+            "compile_us_per_member": 300,
+        },
         "sharded": {"digests_match": True},
         "detection": {
             "player-seek-stress": {
@@ -410,6 +414,42 @@ def test_fuzz_throughput_joins_the_perf_floor():
     report["mode"] = "quick"
     report["sharded"]["cpu_count"] = 4
     assert not any("fuzz" in f for f in evaluate_report(report))
+
+
+def test_scenarios_end_to_end_throughput_joins_the_perf_floor():
+    report = floored_report()
+    report["perf_floor"]["scenarios_device_sim_s_per_s"] = 10_000
+    report["scenarios"]["device_sim_s_per_s"] = 8_000  # -20%: inside
+    assert evaluate_report(report) == []
+    report["scenarios"]["device_sim_s_per_s"] = 5_000  # -50%: below
+    failures = evaluate_report(report)
+    assert any(
+        "scenarios" in f and "device-sim-s/s" in f and "perf floor" in f
+        for f in failures
+    )
+    # the kernel-only row still gates on its own
+    assert not any("events/sec" in f for f in failures)
+
+
+def test_every_perf_floor_row_names_its_recording_host():
+    from run_all import PERF_FLOOR
+
+    rows = {
+        key for key, value in PERF_FLOOR.items()
+        if isinstance(value, (int, float)) and key != "max_regression"
+    }
+    assert "scenarios_device_sim_s_per_s" in rows
+    assert rows == set(PERF_FLOOR["hosts"])
+
+
+def test_provenance_names_the_measuring_host():
+    from run_all import provenance
+
+    block = provenance()
+    assert block["cpu_count"] == os.cpu_count()
+    assert len(block["gc_threshold"]) == 3
+    for key in ("host", "python", "git_rev", "git_dirty"):
+        assert key in block
 
 
 # ----------------------------------------------------------------------

@@ -284,3 +284,103 @@ class TestDeepcopy:
         assert trajectories[id(clone)] == trajectories[id(original)]
         assert clone.outputs == original.outputs
         assert all(fired for fired, _config, _vars in trajectories[id(clone)][:3])
+
+
+class TestSharedChart:
+    """Spec models share one frozen chart; each machine keeps its own
+    run state (vars, configuration, fire counts)."""
+
+    def test_tv_models_share_one_chart_with_independent_state(self):
+        from repro.tv.control_model import build_tv_model
+
+        first = build_tv_model(channel_count=7)
+        second = build_tv_model(channel_count=7)
+        assert first.chart is second.chart
+        assert build_tv_model(channel_count=8).chart is not first.chart
+        for key in ("power", "vol_up", "vol_up", "mute"):
+            first.inject(key)
+        second.inject("power")
+        assert first.get("volume") == 40 and first.get("mute") is True
+        assert second.get("volume") == 30 and second.get("mute") is False
+        fired = {t.name: n for t, n in first.fire_counts.items()}
+        assert sum(fired.values()) == 4
+        assert sum(second.fire_counts.values()) == 1
+        assert set(second.fire_counts) < set(first.fire_counts)
+
+    def test_declaring_after_build_raises(self):
+        b = MachineBuilder("m")
+        b.state("a")
+        b.initial("a")
+        b.transition("a", "a", event="loop")
+        machine = b.build()
+        with pytest.raises(MachineError, match="built"):
+            b.transition("a", "a", event="again")
+        with pytest.raises(MachineError, match="built"):
+            b.var("x", 1)
+        with pytest.raises(MachineError, match="built"):
+            b.state("b")
+        loop = machine.all_transitions()[0]
+        with pytest.raises(MachineError, match="built"):
+            machine.chart.add_transition(loop)
+        with pytest.raises(AttributeError, match="built statechart"):
+            loop.action = None
+        assert len(machine.all_transitions()) == 1
+
+    def test_shared_chart_rejects_edits(self):
+        from repro.printer import build_printer_model
+
+        machine = build_printer_model()
+        with pytest.raises(MachineError):
+            machine.chart.declare_var("jobs", 99)
+        assert build_printer_model().get("jobs") == 0
+
+    def test_mutable_initial_var_rejected(self):
+        b = MachineBuilder("m")
+        with pytest.raises(MachineError, match="immutable"):
+            b.var("queue", [])
+
+    def test_deepcopy_shares_the_chart_and_copies_the_run_state(self):
+        import copy
+
+        from repro.tv.control_model import build_tv_model
+
+        original = build_tv_model()
+        original.inject("power")
+        clone = copy.deepcopy(original)
+        assert clone.chart is original.chart
+        assert clone.fire_counts == original.fire_counts
+        assert clone.fire_counts is not original.fire_counts
+        assert clone.inject("vol_up")
+        assert clone.get("volume") == 35 and original.get("volume") == 30
+        assert sum(clone.fire_counts.values()) == 2
+        assert sum(original.fire_counts.values()) == 1
+
+    def test_concurrent_first_builds_share_the_winning_chart(self):
+        import sys
+        import threading
+
+        from repro.tv.control_model import build_tv_model, tv_model_chart
+
+        key = (13, frozenset({2}), 1, 30)
+        tv_model_chart.charts.pop(key, None)
+        barrier = threading.Barrier(8)
+        machines = []
+
+        def build():
+            barrier.wait(timeout=10)
+            machines.append(build_tv_model(13, frozenset({2})))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(machines) == 8
+        assert len({id(m.chart) for m in machines}) == 1
+        assert machines[0].chart is tv_model_chart.charts[key]
